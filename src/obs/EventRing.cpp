@@ -58,6 +58,8 @@ const char *kindName(EventKind K) {
     return "DirectoryBackfill";
   case EventKind::DirectoryRetire:
     return "DirectoryRetire";
+  case EventKind::VersionStoreResize:
+    return "VersionStoreResize";
   }
   return "Unknown";
 }

@@ -91,6 +91,9 @@ enum class EventKind : uint32_t {
   /// A secondary chain directory was retired (its query signature left
   /// the plan cache). A=directory column bits, B=chains unlinked.
   DirectoryRetire,
+  /// A version-store hash table doubled. A=directory column bits (0 for
+  /// the primary directory), B=new bucket count, C=entries re-linked.
+  VersionStoreResize,
 };
 
 /// Stable lowercase name for a domain ("migration", "wal", ...).

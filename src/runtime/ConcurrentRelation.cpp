@@ -63,8 +63,7 @@ ConcurrentRelation::ConcurrentRelation(RepresentationConfig Cfg,
   Root = NodeInstance::create(D, D.root(), Tuple(),
                               Config.Placement->nodeStripes(D.root()));
   FastRoot.store(Root.get(), std::memory_order_seq_cst);
-  Mvcc = std::make_unique<MvccStore>(
-      spec(), MvccStore::bucketCountFor(Config.ExpectedCardinality));
+  Mvcc = std::make_unique<MvccStore>(spec(), Config.ExpectedCardinality);
 }
 
 // Per-operation lock/frame lifetime is ExecContext::OpScope
@@ -485,6 +484,10 @@ void ConcurrentRelation::attachMetrics(obs::MetricsRegistry &Reg,
       [this] { return uint64_t(Mvcc->directoryCount()); });
   Add("relation.mvcc.directories_retired", CK::Counter,
       [this] { return Mvcc->directoriesRetired(); });
+  Add("relation.mvcc.buckets", CK::Gauge,
+      [this] { return uint64_t(Mvcc->buckets()); });
+  Add("relation.mvcc.resizes", CK::Counter,
+      [this] { return Mvcc->resizes(); });
   static const char *CauseNames[NumAbortCauses] = {
       "none", "conflict", "upgrade", "epoch_change", "gate_busy", "user"};
   for (unsigned C = 1; C < NumAbortCauses; ++C) { // cause 0 = None: no abort

@@ -78,12 +78,10 @@ struct RepresentationConfig {
   std::shared_ptr<const Decomposition> Decomp;
   std::shared_ptr<const LockPlacement> Placement;
   std::string Name;
-  /// Expected live-tuple cardinality (0 = unknown). Sizes the MVCC
-  /// version store's primary hash directory up front
-  /// (MvccStore::bucketCountFor) — the directory is fixed for the
-  /// store's lifetime, so a relation expected to hold millions of
-  /// tuples should say so here rather than degrade into long
-  /// intra-bucket chain lists.
+  /// Expected live-tuple cardinality (0 = unknown): an optional hint.
+  /// The MVCC version store's hash directories grow with their entries
+  /// regardless; a hint only pre-sizes the primary directory so a
+  /// relation known to be large skips the doublings on the way there.
   size_t ExpectedCardinality = 0;
 };
 

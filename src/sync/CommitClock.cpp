@@ -7,6 +7,8 @@
 
 #include "sync/CommitClock.h"
 
+#include "sync/LockOrderValidator.h"
+
 #include <atomic>
 #include <cassert>
 #include <thread>
@@ -53,6 +55,27 @@ unsigned claimSlot(RegistrySlot *Reg, uint64_t Pin) {
     }
     std::this_thread::yield(); // > NumSlots concurrent claimants
   }
+}
+
+/// The commit clock, once every commit stamped at or below it has
+/// finished installing: reads the clock, then waits (spin, then yield)
+/// until no in-flight slot holds a sequence at or below that reading.
+/// A commit with Seq ≤ the reading claimed its slot before stamping, so
+/// the seq_cst clock load orders that claim before the slot scan: the
+/// scan sees the claim, the settled sequence, or the release (which
+/// publishes the commit's installs). A slot above the reading belongs
+/// to a later commit and is not waited for.
+uint64_t drainedCommitClock() {
+  uint64_t C = CommitClock.V.load(std::memory_order_seq_cst);
+  for (unsigned I = 0; I < NumSlots; ++I)
+    for (unsigned Spins = 0;; ++Spins) {
+      uint64_t V = InFlight[I].V.load(std::memory_order_seq_cst);
+      if (V == 0 || V > C)
+        break;
+      if (Spins >= 64)
+        std::this_thread::yield(); // an install window is microseconds
+    }
+  return C;
 }
 
 /// Min over the live slots of \p Reg, each reduced by \p Sub, floored
@@ -109,19 +132,23 @@ uint64_t crs::stableSnapshotSeq() {
 }
 
 unsigned crs::acquireSnapshotSlot(uint64_t &Snap) {
-  // Two-step publish. The pin is a *pre-claim* stable sequence:
-  // stableSnapshotSeq() is monotone, so the final snapshot (recomputed
-  // once the slot is visible) sits at or above it — the slot never
+  // The wait below would never end if this thread held a lock some
+  // in-flight committer is queued on (or a ticket of its own).
+  assert(LockOrderValidator::liveSets() == 0 &&
+         "snapshot acquisition waits for in-flight commits; hold no "
+         "relation lock");
+  // Two-step publish. The pin is a *pre-claim* stable sequence, at or
+  // below the clock, so the snapshot settled on after the claim (a
+  // later clock reading) sits at or above it — the slot never
   // overstates the snapshot it protects, and a concurrent
   // snapshotWatermark() folding the pin can never overshoot the
-  // snapshot we settle on. The recompute after the claim is what makes
-  // the snapshot durable against pruning: any version retired before
-  // this slot became visible had End ≤ the watermark then, which is
-  // ≤ the stable sequence we settle on — invisible at this snapshot
-  // anyway.
+  // snapshot we settle on. Settling after the claim is what makes the
+  // snapshot durable against pruning: any version retired before this
+  // slot became visible had End ≤ the watermark then, which is ≤ the
+  // clock we settle on — invisible at this snapshot anyway.
   uint64_t Pin = stableSnapshotSeq();
   unsigned Slot = claimSlot(Snapshots, Pin ? Pin : 1);
-  Snap = stableSnapshotSeq();
+  Snap = drainedCommitClock();
   Snapshots[Slot].V.store(Snap ? Snap : 1, std::memory_order_seq_cst);
   return Slot;
 }

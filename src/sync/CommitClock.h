@@ -36,9 +36,13 @@
 ///  * the **in-flight commit registry** — a committer stamps its
 ///    sequence through beginCommit() and holds the slot until every
 ///    version it installs is in the store (endCommit). A snapshot
-///    acquired meanwhile (stableSnapshotSeq) sits strictly *below*
-///    every in-flight sequence, so no reader can ever adopt a snapshot
-///    that would see half of a multi-key (or multi-shard) commit.
+///    acquired meanwhile (acquireSnapshotSlot) reads the commit clock
+///    and waits until no commit at or below that reading is still in
+///    flight, so it sees every version of every commit it covers and
+///    none of a later one — never half of a multi-key (or multi-shard)
+///    commit, and always the acquiring thread's own earlier commits.
+///    The wait spans other threads' install windows (microseconds; a
+///    Sync-mode WAL committer also parks for its fsync inside it).
 ///  * the **active snapshot registry** — every open snapshot publishes
 ///    its sequence; snapshotWatermark() is the floor below which no
 ///    live (or future) snapshot can look, the bound MVCC reclamation
@@ -86,9 +90,10 @@ struct CommitTicket {
 /// Stamps the next commit sequence *and* registers it as in-flight, as
 /// one protocol: the slot publishes a conservative lower bound (clock
 /// before the stamp, seq_cst) before the stamp itself, so a concurrent
-/// stableSnapshotSeq() either sees the registration or draws a clock
-/// value below the new sequence — there is no window in which the
-/// sequence is visible through the clock but absent from the registry.
+/// stableSnapshotSeq() or snapshot acquisition either sees the
+/// registration or draws a clock value below the new sequence — there
+/// is no window in which the sequence is visible through the clock but
+/// absent from the registry.
 /// Call under every lock the commit holds (like nextCommitSeq); call
 /// endCommit() after the last version install, before or after the
 /// locks release (the locks do not protect the registry).
@@ -98,9 +103,11 @@ CommitTicket beginCommit();
 /// snapshots at or above T.Seq are safe to hand out.
 void endCommit(const CommitTicket &T);
 
-/// The highest sequence a fresh snapshot may safely read: min over the
-/// in-flight registry of (seq − 1), or the commit clock when nothing is
-/// in flight. Monotone with respect to its own past results.
+/// A sequence no fresh snapshot will fall below, without waiting: min
+/// over the in-flight registry of (seq − 1), or the commit clock when
+/// nothing is in flight. Monotone with respect to its own past results.
+/// The reclamation watermark's floor; snapshots themselves settle at
+/// the drained clock (acquireSnapshotSlot).
 uint64_t stableSnapshotSeq();
 
 /// @}
@@ -108,9 +115,13 @@ uint64_t stableSnapshotSeq();
 /// \name Active snapshot registry (MVCC reclamation watermark)
 /// @{
 
-/// Acquires a registry slot and a stable snapshot sequence, returned in
-/// \p Snap. The slot pins the reclamation watermark at or below Snap
-/// until releaseSnapshotSlot().
+/// Acquires a registry slot and a snapshot sequence, returned in
+/// \p Snap: the commit clock, read once every commit at or below it has
+/// finished installing (waiting for those still in flight). The slot
+/// pins the reclamation watermark at or below Snap until
+/// releaseSnapshotSlot(). The caller must hold no relation lock and no
+/// CommitTicket (asserted in debug for locks): the wait could then
+/// block on itself.
 unsigned acquireSnapshotSlot(uint64_t &Snap);
 
 /// Releases a slot from acquireSnapshotSlot; the watermark may then

@@ -26,21 +26,37 @@
 /// Writers install at *commit*, under every 2PL lock the scope still
 /// holds, between beginCommit() and endCommit() (sync/CommitClock.h) —
 /// so uncommitted writes are never in the store, aborts have nothing
-/// to revoke, and the in-flight registry keeps every fresh snapshot
-/// below a commit whose installs are mid-flight. Within one commit a
-/// key sees at most one effective mutation of each kind in order, so
-/// version ranges of one chain never overlap and at most one version
-/// per chain is visible at any snapshot.
+/// to revoke, and the in-flight registry holds back every fresh
+/// snapshot that would cover a commit whose installs are mid-flight.
+/// Within one commit a key sees at most one effective mutation of each
+/// kind in order, so version ranges of one chain never overlap and at
+/// most one version per chain is visible at any snapshot.
 ///
 /// **Readers** walk bucket → chain → version lists entirely lock-free
 /// under an EpochDomain guard (the caller pins the guard; asserted in
-/// debug). Writers publish with release stores under short per-bucket
-/// mutexes, unlink dead versions by swinging predecessor pointers, and
-/// retire unlinked nodes through EpochDomain::global() — the RCU
-/// discipline of sync/Epoch.h. A reader may harmlessly see a stale
-/// End of 0 for a version being terminated: the terminating commit's
-/// sequence is above every extant snapshot (in-flight registry), so
-/// the visibility verdict is unchanged.
+/// debug). Writers publish with release stores under a fixed array of
+/// per-table lock stripes, unlink dead versions by swinging
+/// predecessor pointers, and retire unlinked nodes through
+/// EpochDomain::global() — the RCU discipline of sync/Epoch.h. A reader
+/// may harmlessly see a stale End of 0 for a version being terminated:
+/// the terminating commit's sequence is above every extant snapshot
+/// (in-flight registry), so the visibility verdict is unchanged.
+///
+/// **Growth.** The primary directory and every secondary directory are
+/// one kind of table: a power-of-two array of 8-byte list heads that
+/// doubles whenever its entries average more than two per bucket, so a
+/// bucket list stays short however large the relation grows. A
+/// doubling is the resizable hash table of perfbook §10.4: every node
+/// carries two list links, one per head-array generation, so the
+/// resize re-links each node into the new array through the spare link
+/// while readers that loaded the old array keep walking intact lists.
+/// The resize holds every lock stripe of its table (writers wait; they
+/// never see a half-built array), publishes the new array, and retires
+/// the old one through the epoch domain. The next doubling waits for
+/// that grace period to elapse, since it rewrites the link the old
+/// array's readers follow; installs run inside epoch guards, so the
+/// wait is deferred to a later write rather than a blocking
+/// synchronize(). Tables never shrink.
 ///
 /// **Reclamation** is bounded by the minimum active snapshot: prune()
 /// unlinks every version with 0 < End ≤ watermark (invisible to every
@@ -58,14 +74,15 @@
 /// table from the projected sub-key to the chains extending it. Only
 /// identity columns participate — a chain's key never changes, so a
 /// link is installed once when the chain is created and removed once
-/// when the chain empties, both under the chain's primary bucket
-/// mutex; readers walk directory buckets lock-free under the same
-/// epoch guard. A new directory is published to the registry first and
-/// then backfilled from the live chains bucket by bucket; readers
-/// ignore it until the backfill completes (Ready), while installers
-/// observe it through the bucket-mutex ordering, so no chain created
-/// during the backfill is missed and duplicates are impossible (links
-/// dedup under the directory bucket mutex). Directories survive
+/// when the chain empties, both under the chain's primary stripe;
+/// readers walk directory buckets lock-free under the same epoch
+/// guard. A new directory is published to the registry first and then
+/// backfilled from the live chains stripe by stripe; readers ignore it
+/// until the backfill completes (Ready), while installers observe it
+/// through the stripe-mutex ordering, so no chain created during the
+/// backfill is missed and duplicates are impossible (links dedup under
+/// the directory stripe). A directory starts sized for the chains it
+/// will hold and then grows like the primary. Directories survive
 /// migrateTo untouched — the store is decomposition-independent by
 /// design — but are *not* immortal: when a query signature leaves the
 /// plan cache (adaptPlans recompiles against a changed workload and the
@@ -73,7 +90,7 @@
 /// the unused directory from the registry and hands it to the epoch
 /// domain, whose deleter frees the directory and its links after the
 /// grace period. Every walk of the directory registry therefore pins an
-/// epoch guard — including the installers' walks under bucket mutexes —
+/// epoch guard — including the installers' walks under primary stripes —
 /// so a straggler that loaded the registry just before an unpublish
 /// holds off reclamation, and a link it adds to a retiring directory is
 /// simply freed by the deleter.
@@ -110,22 +127,17 @@ struct SnapshotQueryStats {
 };
 
 /// The per-relation MVCC version store. Thread-safe per the file
-/// comment: lock-free epoch-guarded readers, bucket-locked writers.
+/// comment: lock-free epoch-guarded readers, stripe-locked writers.
 class MvccStore {
 public:
   /// Builds the store for \p Spec: tuple identity is the spec's first
   /// minimal key (every column when the spec has no proper key — each
   /// tuple is then its own identity and updates-in-place do not
-  /// exist). \p NumBuckets fixes the hash directory (never resized —
-  /// readers hold raw bucket pointers).
-  explicit MvccStore(const RelationSpec &Spec, unsigned NumBuckets = 256);
-
-  /// Primary directory size for an expected tuple cardinality: the
-  /// power of two giving ~2 chains per bucket, clamped to [64, 2^20];
-  /// 0 (unknown) keeps the 256 default. The count is fixed for the
-  /// store's lifetime, so callers size it from
-  /// RepresentationConfig::ExpectedCardinality up front.
-  static unsigned bucketCountFor(size_t ExpectedCardinality);
+  /// exist). The primary directory starts at its minimum size and
+  /// grows with the chains it holds; \p ExpectedCardinality (0 =
+  /// unknown) is an optional hint that pre-sizes it for that many
+  /// chains, sparing the doublings on the way there.
+  explicit MvccStore(const RelationSpec &Spec, size_t ExpectedCardinality = 0);
   ~MvccStore();
   MvccStore(const MvccStore &) = delete;
   MvccStore &operator=(const MvccStore &) = delete;
@@ -138,7 +150,7 @@ public:
   /// CommitTicket open (sequence \p Seq): the locks serialize rival
   /// writers per key, the ticket keeps fresh snapshots below Seq until
   /// endCommit. Both prune the touched chain against the current
-  /// watermark while they hold its bucket (amortized reclamation).
+  /// watermark while they hold its stripe (amortized reclamation).
   /// @{
 
   /// Installs a committed insert: a new version of π_key(Full)'s chain
@@ -176,7 +188,7 @@ public:
   /// over that column set exists on return (possibly still
   /// backfilling; readers use it once ready). Thread-safe; callable
   /// concurrently with installs, reads, and pruning. Creation +
-  /// backfill lock bucket mutexes, so prefer calling it outside an
+  /// backfill lock stripe mutexes, so prefer calling it outside an
   /// epoch guard to keep reclamation prompt.
   bool ensureDirectory(ColumnSet QueryCols);
 
@@ -200,9 +212,10 @@ public:
     return DirsRetired.load(std::memory_order_relaxed);
   }
 
-  /// Points directory lifecycle events (DirectoryBackfill /
-  /// DirectoryRetire) at \p Ring (the registry's Relation-domain ring);
-  /// null detaches. Attach/detach on a quiet store, like attachWal.
+  /// Points directory lifecycle and growth events (DirectoryBackfill /
+  /// DirectoryRetire / VersionStoreResize) at \p Ring (the registry's
+  /// Relation-domain ring); null detaches. Attach/detach on a quiet
+  /// store, like attachWal.
   void attachTrace(obs::TraceRing *Ring) {
     Trace.store(Ring, std::memory_order_release);
   }
@@ -222,10 +235,16 @@ public:
   /// Versions currently linked (installed − retired).
   uint64_t liveVersions() const { return installed() - retired(); }
   /// Longest chain list hanging off one primary bucket right now — the
-  /// hash-quality metric the stress lane bounds (a store sized from
-  /// the expected cardinality must not degrade into long intra-bucket
-  /// lists). Pins its own epoch guard; lock-free.
+  /// hash-quality metric the stress lane bounds (a growing directory
+  /// must not degrade into long intra-bucket lists). Pins its own epoch
+  /// guard; lock-free.
   size_t maxBucketChainLength() const;
+  /// List heads allocated right now: the primary directory plus every
+  /// registered secondary directory (relation.mvcc.buckets).
+  size_t buckets() const;
+  /// Cumulative table doublings, primary and secondary
+  /// (relation.mvcc.resizes).
+  uint64_t resizes() const { return Resizes.load(std::memory_order_relaxed); }
   /// installRemove calls that found no live version to end. Tolerated
   /// for idempotent replay (recovery), but outside recovery the
   /// commit protocol makes them impossible — the snapshot stress
@@ -237,35 +256,41 @@ public:
 
 private:
   struct Version;
+  struct Node;
   struct Chain;
-  struct Bucket;
   struct DirLink;
-  struct DirBucket;
   struct Directory;
+  class Table;
 
-  Bucket &bucketFor(const Tuple &Key) const;
-  /// Finds \p Key's chain in \p B (lock-free walk), or null.
-  Chain *findChain(const Bucket &B, const Tuple &Key) const;
-  /// Finds or links \p Key's chain; call with \p B's mutex held. A
-  /// newly created chain is linked into every registered directory.
-  Chain *findOrCreateChain(Bucket &B, const Tuple &Key);
+  /// Finds \p Key's chain (hash \p H) in the primary (lock-free walk),
+  /// or null.
+  Chain *findChain(const Tuple &Key, uint64_t H) const;
+  /// Finds or links \p Key's chain; call with its primary stripe held.
+  /// A newly created chain is linked into every registered directory.
+  /// Sets \p Grow when the primary wants to double.
+  Chain *findOrCreateChain(const Tuple &Key, uint64_t H, bool &Grow);
   /// Unlinks dead versions of \p C below \p Watermark and, when the
   /// chain empties, the chain itself (plus its directory links); call
-  /// with the bucket mutex held.
-  size_t pruneChainLocked(Bucket &B, Chain *C, uint64_t Watermark);
-  /// Links \p C into \p D (dedup under the directory bucket mutex);
-  /// call with \p C's primary bucket mutex held.
+  /// with its primary stripe held.
+  size_t pruneChainLocked(Chain *C, uint64_t Watermark);
+  /// Links \p C into \p D (dedup under the directory stripe); call with
+  /// \p C's primary stripe held.
   void linkChainToDir(Directory &D, Chain *C);
   /// The ready directory with the most columns ⊆ \p QueryDom, or null.
   Directory *directoryFor(ColumnSet QueryDom) const;
+  /// Doubles \p T (the table over \p Cols; empty for the primary) if it
+  /// is still overloaded, rehashing its nodes with \p HashOf, and counts
+  /// and traces the doubling. Call with no stripe of \p T held.
+  template <typename F> void grow(Table &T, ColumnSet Cols, F HashOf);
 
   ColumnSet KeyCols;
   ColumnSet AllCols;
-  std::vector<std::unique_ptr<Bucket>> Buckets;
+  std::unique_ptr<Table> Primary; ///< chains by identity hash
   std::atomic<uint64_t> Installed{0};
   std::atomic<uint64_t> Retired{0};
   std::atomic<uint64_t> RemoveNoops{0};
   std::atomic<uint64_t> DirsRetired{0};
+  std::atomic<uint64_t> Resizes{0};
   /// Optional event sink (see attachTrace). Loaded relaxed on the cold
   /// paths that emit; null means no tracing.
   std::atomic<obs::TraceRing *> Trace{nullptr};

@@ -386,7 +386,7 @@ Transaction::snapshotReadOver(const ConcurrentRelation &R,
   }
   // A fallback scan is the signal that this query shape has no access
   // path yet: request one now (outside the guard — backfill takes
-  // bucket mutexes and should not pin reclamation), so the next read
+  // stripe mutexes and should not pin reclamation), so the next read
   // binding these columns walks only its matching chains. Eagerly
   // compiled signatures (ConcurrentRelation's plan cache) normally get
   // here first; this lazy path catches ad-hoc shapes and directories

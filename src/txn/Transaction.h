@@ -30,8 +30,10 @@
 /// relation's MVCC store (txn/MvccStore.h) and appends the WAL record.
 ///
 /// **Reads: MVCC snapshots.** A scope picks a snapshot sequence when it
-/// opens (sync/CommitClock.h::acquireSnapshotSlot) and query() reads
-/// the version store at that snapshot — a consistent view across every
+/// opens (sync/CommitClock.h::acquireSnapshotSlot: the commit clock,
+/// once every commit at or below it has finished installing, so a scope
+/// always sees every commit acknowledged before it opened) and query()
+/// reads the version store at that snapshot — a consistent view across every
 /// query in the scope, across relations and shards, with **zero lock
 /// acquisitions**, no plan, and no gate: a read-only scope touches no
 /// shared line of the representation at all. The scope's own

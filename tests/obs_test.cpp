@@ -367,6 +367,44 @@ TEST(ObsRelation, AttachExportsLiveCountersDetachStops) {
                   .execute());
 }
 
+TEST(ObsRelation, VersionStoreGrowthExported) {
+  MetricsRegistry Reg;
+  ConcurrentRelation R(splitStriped());
+  const RelationSpec &Spec = R.spec();
+  R.attachMetrics(Reg, "unit");
+  MetricsSnapshot Before = Reg.snapshot();
+  const auto *Fresh = findGauge(Before, "relation.mvcc.buckets");
+  ASSERT_NE(Fresh, nullptr);
+  EXPECT_EQ(Fresh->Value, static_cast<int64_t>(R.mvccStore().buckets()));
+
+  PreparedInsert Ins = R.prepareInsert(Spec.cols({"src", "dst"}));
+  for (int64_t I = 0; I < 1024; ++I)
+    ASSERT_TRUE(Ins.bind(0, Value::ofInt(I))
+                    .bind(1, Value::ofInt(0))
+                    .bind(2, Value::ofInt(I))
+                    .execute());
+
+  // The primary directory doubled its way to ~2 chains per bucket; the
+  // gauge, the counter and the relation ring all say so.
+  MetricsSnapshot S = Reg.snapshot();
+  const auto *Buckets = findGauge(S, "relation.mvcc.buckets");
+  const auto *Resizes = findCounter(S, "relation.mvcc.resizes");
+  ASSERT_NE(Buckets, nullptr);
+  ASSERT_NE(Resizes, nullptr);
+  EXPECT_GT(Buckets->Value, Fresh->Value);
+  EXPECT_GE(Resizes->Value, 1u);
+  EXPECT_EQ(Resizes->Value, R.mvccStore().resizes());
+  uint64_t Events = 0;
+  for (const TraceEvent &E : Reg.ring(EventDomain::Relation).snapshot())
+    if (E.Kind == EventKind::VersionStoreResize) {
+      ++Events;
+      EXPECT_EQ(E.A, 0u); // the primary directory
+      EXPECT_GT(E.B, 0u);
+    }
+  EXPECT_EQ(Events, Resizes->Value);
+  R.detachMetrics();
+}
+
 //===----------------------------------------------------------------------===//
 // Event capture: migration, checkpoint, wait-die abort (acceptance)
 //===----------------------------------------------------------------------===//
@@ -489,8 +527,9 @@ TEST(ObsRetire, AdaptPlansRetiresColdDirectories) {
   R.adaptPlans();
   EXPECT_EQ(R.mvccStore().directoryCount(), 1u);
   EXPECT_EQ(R.mvccStore().directoriesRetired(), 1u);
+  MetricsSnapshot AfterRetire = Reg.snapshot();
   const auto *Retired =
-      findCounter(Reg.snapshot(), "relation.mvcc.directories_retired");
+      findCounter(AfterRetire, "relation.mvcc.directories_retired");
   ASSERT_NE(Retired, nullptr);
   EXPECT_EQ(Retired->Value, 1u);
   EXPECT_TRUE(hasKind(Reg.ring(EventDomain::Relation).snapshot(),

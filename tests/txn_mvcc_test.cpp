@@ -16,10 +16,16 @@
 /// plus the mechanical guarantees underneath: read-only scopes acquire
 /// zero physical locks (sampled lock counters), never die and never
 /// retry, commit with sequence 0 (no clock movement), and version
-/// reclamation is bounded by the minimum active snapshot. Ends with the
-/// fig5 txn-panel regression (reader scopes track bare prepared reads)
-/// and the snapshot-consistency stress oracle, which the nightly
-/// TSan/ASan stress lane runs at elevated iteration counts.
+/// reclamation is bounded by the minimum active snapshot. Then the
+/// snapshot-acquisition regression (a scope sees its own thread's
+/// earlier commit while another commit is in flight) and the version
+/// store's growth: bucket-list and links-scanned bounds after 200k
+/// inserts into an unsized store, and readers that never miss a chain
+/// while writers drive its tables through concurrent doublings. Ends
+/// with the fig5 txn-panel regression (reader scopes track bare
+/// prepared reads) and the snapshot-consistency stress oracle, with and
+/// without a pre-size hint, which the nightly TSan/ASan stress lane
+/// runs at elevated iteration counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -848,14 +854,176 @@ TEST(Mvcc, ReadOnlyScopeThroughputTracksPreparedReads) {
 }
 
 //===----------------------------------------------------------------------===//
+// Snapshot acquisition: a scope reads its own thread's earlier commits
+//===----------------------------------------------------------------------===//
+
+TEST(Mvcc, SnapshotSeesOwnCommitWhileOtherCommitInFlight) {
+  RepresentationConfig C = splitStriped();
+  ConcurrentRelation R(C);
+  const RelationSpec &Spec = R.spec();
+  Handles H(R);
+  // This thread's write scope opens first (its own snapshot acquisition
+  // must not wait on the ticket below).
+  Transaction W(R);
+  ASSERT_TRUE(
+      W.insert(H.Ins, {Value::ofInt(7), Value::ofInt(7), Value::ofInt(41)}));
+  // Thread B opens a commit ticket below the sequence this thread is
+  // about to commit at, and holds it until well after that commit.
+  std::atomic<bool> Opened{false}, Committed{false};
+  std::thread B([&] {
+    CommitTicket T = beginCommit();
+    Opened.store(true, std::memory_order_release);
+    while (!Committed.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    endCommit(T);
+  });
+  while (!Opened.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  EXPECT_TRUE(W.commit());
+  Committed.store(true, std::memory_order_release);
+  // B's sequence is below ours and still in flight. The new scope's
+  // snapshot must still cover our acknowledged commit: it waits out B's
+  // install window rather than settling below B.
+  {
+    Transaction T(R);
+    EXPECT_GE(T.snapshotSeq(), W.commitSeq());
+    EXPECT_EQ(readWeight(T, H, Spec, 7, 7), 41);
+    EXPECT_TRUE(T.commit());
+  }
+  B.join();
+}
+
+//===----------------------------------------------------------------------===//
+// Version-store growth: the hash directories follow the data
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Tuple edge(const RelationSpec &Spec, int64_t S, int64_t D, int64_t W) {
+  return Tuple::of({{Spec.col("src"), Value::ofInt(S)},
+                    {Spec.col("dst"), Value::ofInt(D)},
+                    {Spec.col("weight"), Value::ofInt(W)}});
+}
+
+Tuple srcOnly(const RelationSpec &Spec, int64_t S) {
+  return Tuple::of({{Spec.col("src"), Value::ofInt(S)}});
+}
+
+} // namespace
+
+TEST(Mvcc, StoreGrowsWithoutHint) {
+  RepresentationConfig C = splitStriped();
+  const RelationSpec &Spec = *C.Spec;
+  MvccStore Store(Spec);
+  const size_t Fresh = Store.buckets();
+  ASSERT_TRUE(Store.ensureDirectory(Spec.cols({"src"})));
+  constexpr int64_t Fanout = 10, Srcs = 20000; // 200k chains
+  for (int64_t S = 0; S < Srcs; ++S)
+    for (int64_t D = 0; D < Fanout; ++D)
+      Store.installInsert(edge(Spec, S, D, S + D), nextCommitSeq());
+  const size_t Chains = size_t(Srcs * Fanout);
+  EXPECT_EQ(Store.liveVersions(), Chains);
+
+  // Both tables doubled from their fresh size to about two entries per
+  // bucket: the primary and the {src} directory each hold 200k nodes.
+  EXPECT_GE(Store.resizes(), 2u);
+  EXPECT_GE(Store.buckets(), Chains);     // ≤ 2 per bucket, both tables
+  EXPECT_LE(Store.buckets(), 4 * Chains); // and not oversized either
+  EXPECT_GT(Store.buckets(), 100 * Fresh);
+  // Longest primary bucket list. A hash spread at about two entries per
+  // bucket over ~131k buckets leaves a Poisson tail: the expected
+  // longest list is 9–10 and P(any list ≥ 13) is about 1e-3.
+  EXPECT_LE(Store.maxBucketChainLength(), 12u);
+
+  // Directory-served reads walk their own chains plus whatever other
+  // sub-keys share the bucket — a small constant, not the store.
+  uint64_t Snap = commitClockNow();
+  uint64_t Scanned = 0, Visited = 0;
+  EpochDomain::Guard G;
+  for (int64_t S = 0; S < Srcs; S += 7) {
+    SnapshotQueryStats St;
+    uint32_t N = Store.snapshotQuery(srcOnly(Spec, S), Snap, nullptr,
+                                     nullptr, &St);
+    ASSERT_EQ(N, uint32_t(Fanout));
+    ASSERT_TRUE(St.DirectoryServed);
+    ASSERT_EQ(St.ChainsVisited, uint32_t(Fanout));
+    EXPECT_LE(St.LinksScanned, St.ChainsVisited + 4 * Fanout);
+    Scanned += St.LinksScanned;
+    Visited += St.ChainsVisited;
+  }
+  EXPECT_LE(Scanned, Visited + Visited / 2);
+}
+
+TEST(Mvcc, ReadersNeverMissChainsWhileTablesGrow) {
+  RepresentationConfig C = splitStriped();
+  const RelationSpec &Spec = *C.Spec;
+  MvccStore Store(Spec);
+  ASSERT_TRUE(Store.ensureDirectory(Spec.cols({"src"})));
+  // Pre-inserted set: src in [0, 64), 4 dsts each. Writers add chains
+  // only under src ≥ 1000, so a directory read of a pre-inserted src
+  // has an exact answer at any snapshot.
+  constexpr int64_t PreSrcs = 64, PreFanout = 4;
+  for (int64_t S = 0; S < PreSrcs; ++S)
+    for (int64_t D = 0; D < PreFanout; ++D)
+      Store.installInsert(edge(Spec, S, D, 1), nextCommitSeq());
+  const uint64_t ResizesBefore = Store.resizes();
+
+  const uint64_t PerWriter = 30000 * stress::opsMultiplier();
+  constexpr unsigned Writers = 2, Readers = 2;
+  std::atomic<unsigned> WritersLeft{Writers};
+  std::atomic<uint64_t> Misses{0}, Reads{0};
+  std::vector<std::thread> Pool;
+  for (unsigned W = 0; W < Writers; ++W)
+    Pool.emplace_back([&, W] {
+      // Each writer owns its src range; it removes every other key it
+      // inserted, so pruning unlinks chains while the tables double.
+      const int64_t Base = 1000 + int64_t(W) * 1000000;
+      for (uint64_t I = 0; I < PerWriter; ++I) {
+        int64_t S = Base + int64_t(I / 8), D = int64_t(I % 8);
+        Store.installInsert(edge(Spec, S, D, 2), nextCommitSeq());
+        if (I % 2 == 1)
+          Store.installRemove(edge(Spec, S, D - 1, 2), nextCommitSeq());
+      }
+      WritersLeft.fetch_sub(1, std::memory_order_release);
+    });
+  for (unsigned RIdx = 0; RIdx < Readers; ++RIdx)
+    Pool.emplace_back([&, RIdx] {
+      uint64_t Snap;
+      unsigned Slot = acquireSnapshotSlot(Snap);
+      uint64_t I = RIdx;
+      do {
+        int64_t S = int64_t(I % PreSrcs), D = int64_t(I / PreSrcs % PreFanout);
+        EpochDomain::Guard G;
+        if (Store.snapshotQuery(key(Spec, S, D), Snap, nullptr) != 1)
+          Misses.fetch_add(1, std::memory_order_relaxed);
+        if (Store.snapshotQuery(srcOnly(Spec, S), Snap, nullptr) !=
+            uint32_t(PreFanout))
+          Misses.fetch_add(1, std::memory_order_relaxed);
+        Reads.fetch_add(2, std::memory_order_relaxed);
+        ++I;
+      } while (WritersLeft.load(std::memory_order_acquire) != 0);
+      releaseSnapshotSlot(Slot);
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  EXPECT_EQ(Misses.load(), 0u) << "of " << Reads.load() << " reads";
+  // Several doublings of both tables happened under the readers.
+  EXPECT_GE(Store.resizes() - ResizesBefore, 4u);
+  EXPECT_EQ(Store.removeNoops(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Snapshot-consistency stress oracle (nightly lane scales this up)
 //===----------------------------------------------------------------------===//
 
-TEST(MvccStress, SnapshotSumConservationUnderTransfers) {
+namespace {
+
+/// The transfer oracle over one relation whose version store was
+/// pre-sized for \p Hint tuples (0 = no hint: the store grows).
+void runTransferStress(size_t Hint) {
   RepresentationConfig C = splitStriped();
-  // Exercise cardinality-driven primary-directory sizing: the store
-  // under stress should keep its bucket chain lists near-singleton.
-  C.ExpectedCardinality = 1024;
+  C.ExpectedCardinality = Hint;
   ConcurrentRelation R(C);
   stress::SnapshotStressOptions Opts;
   stress::SnapshotStressReport Rep = stress::runSnapshotStressWithOracle(
@@ -866,12 +1034,22 @@ TEST(MvccStress, SnapshotSumConservationUnderTransfers) {
   EXPECT_GT(Rep.Checks, 0u);
   EXPECT_GE(Rep.Transfers, Opts.Transfers);
   // installRemove's idempotent-replay tolerance must never fire outside
-  // recovery, and the chain lists must stay short (64 accounts hashed
-  // over ≥512 buckets): both counters, not vibes.
+  // recovery, and the chain lists must stay short whether the store was
+  // sized up front or grew: both counters, not vibes.
   EXPECT_EQ(Rep.RemoveNoops, 0u);
   EXPECT_LE(Rep.MaxBucketChainLen, 4u);
   ValidationResult V = R.verifyConsistency();
   EXPECT_TRUE(V.ok()) << V.str();
+}
+
+} // namespace
+
+TEST(MvccStress, SnapshotSumConservationUnderTransfers) {
+  runTransferStress(/*Hint=*/1024);
+}
+
+TEST(MvccStress, SnapshotSumConservationUnderTransfersNoHint) {
+  runTransferStress(/*Hint=*/0);
 }
 
 TEST(MvccStress, SnapshotSumConservationAcrossShards) {
