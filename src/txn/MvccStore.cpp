@@ -11,6 +11,7 @@
 #include "sync/Epoch.h"
 
 #include <cassert>
+#include <vector>
 
 using namespace crs;
 

@@ -109,7 +109,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 namespace crs {
 
