@@ -10,8 +10,8 @@
 /// attached (src/wal/Wal.h) serves concurrent transfer transactions
 /// while
 ///
-///   - a FollowerRelation (src/wal/Follower.h) consumes the live
-///     commit stream and serves reads from a *different*
+///   - a FollowerRelation (src/wal/Follower.h) tails the WAL's
+///     partition files and serves reads from a *different*
 ///     representation than the primary,
 ///   - a checkpoint is taken mid-run under full write traffic
 ///     (src/wal/Checkpoint.h), and
@@ -20,15 +20,17 @@
 ///
 /// The demo self-verifies three ways and exits nonzero on any
 /// violation: money is conserved on the primary (the transactional
-/// invariant), the drained follower's state equals the primary's
-/// tuple-for-tuple (the replication contract), and the recovered
-/// fleet's state equals the primary's too (the durability contract).
+/// invariant), the caught-up follower's state equals the primary's
+/// tuple-for-tuple with every logged record applied and zero anomalies
+/// and gaps (the replication contract, read off one metrics snapshot),
+/// and the recovered fleet's state equals the primary's too (the
+/// durability contract).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "autotune/Autotuner.h"
 #include "support/Rng.h"
-#include "sync/CommitClock.h"
+#include "obs/Exporter.h"
 #include "txn/Transaction.h"
 #include "wal/Checkpoint.h"
 #include "wal/Follower.h"
@@ -49,6 +51,13 @@ namespace {
 std::vector<Tuple> sorted(std::vector<Tuple> V) {
   std::sort(V.begin(), V.end(), TupleLess());
   return V;
+}
+
+uint64_t counter(const obs::MetricsSnapshot &S, const char *Name) {
+  for (const auto &C : S.Counters)
+    if (C.Name == Name)
+      return C.Value;
+  return 0;
 }
 
 } // namespace
@@ -83,8 +92,8 @@ int main() {
     std::printf("wal open failed: %s\n", Err.c_str());
     return 1;
   }
-  CommitChannel Channel;
-  Log->attachChannel(&Channel);
+  obs::MetricsRegistry &Reg = obs::MetricsRegistry::global();
+  Log->attachMetrics(Reg);
 
   ShardedRelation Bank(Primary, NumShards);
   Bank.attachWal(*Log); // shard i -> partition i, before any traffic
@@ -97,8 +106,8 @@ int main() {
                 Tuple::of({{WeightCol, Value::ofInt(InitialBalance)}}));
   const int64_t TotalMoney = NumAccounts * InitialBalance;
 
-  FollowerRelation Follower(ReplicaShape, Channel,
-                            [&] { return Bank.scanAll(); });
+  FollowerRelation Follower(ReplicaShape, *Log);
+  Follower.attachMetrics(Reg);
 
   std::printf("replicated bank: %lld accounts across %u shards of %s; "
               "WAL + live follower (%s) + mid-run checkpoint\n\n",
@@ -163,20 +172,31 @@ int main() {
   for (std::thread &W : Workers)
     W.join();
 
-  // ---- replication check: drain the follower, compare states --------
-  // The writers have quiesced, so the clock's current reading bounds
-  // every commitSeq ever stamped; waitApplied turns that into "fully
-  // caught up" (a healed gap publishes the same floor via backfill).
-  bool FollowerCaughtUp = Follower.waitApplied(commitClockNow());
+  // ---- replication check: catch the follower up, compare states -----
+  // The writers have joined, so every commit is in the log's memory:
+  // flush() puts it on disk, and waitCaughtUp() returns once a poll
+  // round that started after the flush has been applied.
+  Log->flush();
+  bool FollowerCaughtUp = Follower.waitCaughtUp();
   Follower.stop();
   std::vector<Tuple> PrimaryState = sorted(Bank.scanAll());
+  obs::MetricsSnapshot Snap = Reg.snapshot();
+  uint64_t Appended = counter(Snap, "wal.records_appended");
+  uint64_t Applied = counter(Snap, "follower.applied_records");
+  uint64_t Anomalies = counter(Snap, "follower.anomalies");
+  uint64_t Gaps = counter(Snap, "follower.gaps");
   bool FollowerMatches =
-      FollowerCaughtUp &&
-      sorted(Follower.relation().scanAll()) == PrimaryState;
-  std::printf("follower: %llu records applied, %llu gaps healed -> %s\n",
-              static_cast<unsigned long long>(Follower.appliedRecords()),
-              static_cast<unsigned long long>(Follower.gapsHealed()),
+      FollowerCaughtUp && Applied == Appended && Anomalies == 0 &&
+      Gaps == 0 && sorted(Follower.relation().scanAll()) == PrimaryState;
+  std::printf("follower: %llu of %llu records applied, %llu anomalies, "
+              "%llu gaps -> %s\n",
+              static_cast<unsigned long long>(Applied),
+              static_cast<unsigned long long>(Appended),
+              static_cast<unsigned long long>(Anomalies),
+              static_cast<unsigned long long>(Gaps),
               FollowerMatches ? "state matches primary" : "MISMATCH");
+
+  obs::exportIfRequested(Reg); // CRS_METRICS_JSON=<path>: dump the verdict
 
   // ---- durability check: recover a fresh fleet from disk ------------
   Bank.detachWal();

@@ -15,10 +15,10 @@
 /// it walks buckets one at a time, so it may miss updates that happen
 /// in buckets it has already passed.
 ///
-/// The bucket count is fixed at construction (a power of two). The JDK
-/// container resizes; for decomposition synthesis only the taxonomy
-/// properties matter, and a fixed table keeps the concurrency argument
-/// trivially sound. This deviation is recorded in DESIGN.md.
+/// The bucket count is fixed at construction (a power of two). This is
+/// a deliberate deviation from the JDK container, which resizes: for
+/// decomposition synthesis only the taxonomy properties matter, and a
+/// fixed table keeps the concurrency argument trivially sound.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,7 +24,9 @@
 /// Memory reclamation: the JVM original relies on garbage collection.
 /// Here, unlinked nodes are *retired* to a deferred free list and
 /// reclaimed when the map is destroyed, so racing traversals never touch
-/// freed memory (documented substitution in DESIGN.md). Retired nodes
+/// freed memory. This substitutes for the JVM's garbage collector and is
+/// a deliberate deviation: erased nodes' memory is held until the map
+/// dies. Retired nodes
 /// drop their values immediately (under the node lock), so held
 /// resources are released promptly.
 ///

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Adequacy (paper §4.1): a decomposition must be able to represent every
-/// relation satisfying the relational specification. We check the
-/// sufficient structural conditions listed in DESIGN.md:
+/// relation satisfying the relational specification. We check these
+/// sufficient structural conditions:
 ///
 ///   1. unique root `ρ: ∅ ▷ C`; all nodes reachable; acyclic;
 ///   2. each edge uv with u: A ▷ B, v: A' ▷ B' satisfies

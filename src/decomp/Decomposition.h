@@ -94,8 +94,9 @@ public:
   /// root to \p N passes through \p Dom (reflexive).
   bool dominates(NodeId Dom, NodeId N) const;
 
-  /// Checks DAG structure + the adequacy conditions of §4.1 (see
-  /// DESIGN.md for the exact rule set). Implemented in Adequacy.cpp.
+  /// Checks DAG structure + the adequacy conditions of §4.1. The exact
+  /// rule set is listed in Adequacy.cpp's file comment, beside the
+  /// implementation.
   ValidationResult validate() const;
 
   /// True if edge \p E may legally be a SingletonCell: the source node's

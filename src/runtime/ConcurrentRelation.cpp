@@ -5,7 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Operation protocols (see DESIGN.md for the full argument):
+/// Operation protocols (docs/ARCHITECTURE.md, "The life of an operation",
+/// has the full argument):
 ///
 /// * query: compiled by the query planner (§5); executed with shared
 ///   locks; speculative statements may request a transaction restart.

@@ -336,32 +336,6 @@ bool crs::truncateWalPartition(const std::string &Path, uint64_t ValidBytes) {
 }
 
 //===----------------------------------------------------------------------===//
-// CommitChannel
-//===----------------------------------------------------------------------===//
-
-void CommitChannel::publish(WalRecord Rec) {
-  std::lock_guard<std::mutex> G(M);
-  uint64_t Seq = Published.load(std::memory_order_relaxed) + 1;
-  Published.store(Seq, std::memory_order_release);
-  if (Q.size() >= Capacity) {
-    // Never block the commit path (the publisher holds relation locks):
-    // drop and let the consumer heal the stream-sequence gap.
-    Dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Q.push_back({Seq, std::move(Rec)});
-}
-
-size_t CommitChannel::drain(std::vector<Item> &Out) {
-  std::lock_guard<std::mutex> G(M);
-  size_t N = Q.size();
-  for (Item &I : Q)
-    Out.push_back(std::move(I));
-  Q.clear();
-  return N;
-}
-
-//===----------------------------------------------------------------------===//
 // WriteAheadLog
 //===----------------------------------------------------------------------===//
 
@@ -466,13 +440,7 @@ void WriteAheadLog::logCommit(uint32_t Partition, uint64_t CommitSeq,
     return; // read-only scopes leave no redo record
   CommitScratch.clear();
   walEncodeRecord(CommitScratch, CommitSeq, Shard, Muts, NumMuts);
-  appendEncoded(Partition, CommitSeq, CommitScratch, [&] {
-    WalRecord R;
-    R.CommitSeq = CommitSeq;
-    R.Shard = Shard;
-    R.Muts.assign(Muts, Muts + NumMuts);
-    return R;
-  });
+  appendEncoded(Partition, CommitSeq, CommitScratch);
 }
 
 void WriteAheadLog::logCommit(uint32_t Partition, uint64_t CommitSeq,
@@ -492,13 +460,7 @@ void WriteAheadLog::logCommit(uint32_t Partition, uint64_t CommitSeq,
   putU8(CommitScratch, static_cast<uint8_t>(Op));
   encodeTuple(CommitScratch, Full);
   patchRecordHeader(CommitScratch, Header, Payload);
-  appendEncoded(Partition, CommitSeq, CommitScratch, [&] {
-    WalRecord R;
-    R.CommitSeq = CommitSeq;
-    R.Shard = Shard;
-    R.Muts.push_back(WalMutation{Op, Full});
-    return R;
-  });
+  appendEncoded(Partition, CommitSeq, CommitScratch);
 }
 
 void WriteAheadLog::logCommit(uint32_t Partition, uint64_t CommitSeq,
@@ -527,23 +489,11 @@ void WriteAheadLog::logCommit(uint32_t Partition, uint64_t CommitSeq,
     encodeTupleProjected(CommitScratch, *Full, Project);
   }
   patchRecordHeader(CommitScratch, Header, Payload);
-  appendEncoded(Partition, CommitSeq, CommitScratch, [&] {
-    WalRecord R;
-    R.CommitSeq = CommitSeq;
-    R.Shard = Shard;
-    R.Muts.reserve(NumMuts);
-    for (size_t I = 0; I < NumMuts; ++I) {
-      const Tuple *Full = nullptr;
-      WalOp Op = Mut(I, Full);
-      R.Muts.push_back(WalMutation{Op, Full->project(Project)});
-    }
-    return R;
-  });
+  appendEncoded(Partition, CommitSeq, CommitScratch);
 }
 
 void WriteAheadLog::appendEncoded(uint32_t Partition, uint64_t CommitSeq,
-                                  const std::vector<uint8_t> &Encoded,
-                                  function_ref<WalRecord()> MakeRecord) {
+                                  const std::vector<uint8_t> &Encoded) {
   struct Partition &P = *Parts[Partition];
   uint64_t MyEnd;
   {
@@ -552,11 +502,6 @@ void WriteAheadLog::appendEncoded(uint32_t Partition, uint64_t CommitSeq,
     P.Appended += Encoded.size();
     P.TailMaxSeq = std::max(P.TailMaxSeq, CommitSeq);
     MyEnd = P.Appended;
-    // Publish to the live replication feed under the same mutex: the
-    // channel sees records in exactly the partition's append order,
-    // which is the per-key serialization order (file comment).
-    if (CommitChannel *Ch = Channel.load(std::memory_order_acquire))
-      Ch->publish(MakeRecord());
   }
   Records.fetch_add(1, std::memory_order_relaxed);
   Bytes.fetch_add(Encoded.size(), std::memory_order_relaxed);

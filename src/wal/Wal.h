@@ -42,10 +42,9 @@
 /// kill loses at most that window and a recovered prefix is always
 /// mutation-consistent.
 ///
-/// The same append, under the same partition mutex, publishes the
-/// record to an attached CommitChannel — the replication feed
-/// (wal/Follower.h) is the durability pipeline observed live rather
-/// than from disk.
+/// Replication reads the same files: a FollowerRelation (wal/Follower.h)
+/// tails the partition segments, so a replica sees exactly the records
+/// recovery would replay, in the same per-partition order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +58,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -95,45 +93,6 @@ enum class FsyncMode : uint8_t {
            ///< write+fsyncs every park window (bounded durability lag)
   Sync,    ///< ack only once an fsync covers the record (group commit:
            ///< scopes park at the stamp point, one fsync per batch)
-};
-
-/// A bounded in-process commit-stream channel: the WAL publishes every
-/// appended record (all partitions, under the partition mutex — so
-/// per-key order is preserved) with a dense per-channel stream sequence;
-/// a FollowerRelation consumes them in order. The publisher never
-/// blocks — it is on the commit path, holding relation locks — so a
-/// full channel *drops* the record and advances the stream sequence
-/// anyway: the consumer detects the gap and heals it with a backfill
-/// walk (wal/Follower.h) instead of ever stalling writers.
-class CommitChannel {
-public:
-  explicit CommitChannel(size_t Capacity = 8192) : Capacity(Capacity) {}
-
-  struct Item {
-    uint64_t StreamSeq = 0; ///< dense; a jump at the consumer = a gap
-    WalRecord Rec;
-  };
-
-  /// Publisher side (WAL internal). Drops when full, never blocks.
-  void publish(WalRecord Rec);
-
-  /// Pops every available item into \p Out (appending); returns the
-  /// number popped. Non-blocking.
-  size_t drain(std::vector<Item> &Out);
-
-  /// Stream sequence numbers handed out so far (published + dropped).
-  uint64_t published() const {
-    return Published.load(std::memory_order_acquire);
-  }
-  /// Records dropped because the channel was full (gaps to heal).
-  uint64_t dropped() const { return Dropped.load(std::memory_order_relaxed); }
-
-private:
-  const size_t Capacity;
-  mutable std::mutex M;
-  std::deque<Item> Q;
-  std::atomic<uint64_t> Published{0};
-  std::atomic<uint64_t> Dropped{0};
 };
 
 /// The partitioned group-commit log. One instance serves a whole
@@ -176,22 +135,19 @@ public:
   WriteAheadLog &operator=(const WriteAheadLog &) = delete;
 
   /// The commit-path append: serializes `(CommitSeq, Shard, Muts)` into
-  /// partition \p Partition's tail and publishes it to the attached
-  /// channel, both under the partition mutex. **Call with every lock of
-  /// the committing mutation still held** — that is what makes file
-  /// order the serialization order. Under FsyncMode::Sync this parks
-  /// until the record is on stable storage (bounded by the park
-  /// window + one fsync); otherwise it returns after the in-memory
-  /// append.
+  /// partition \p Partition's tail under the partition mutex. **Call
+  /// with every lock of the committing mutation still held** — that is
+  /// what makes file order the serialization order. Under
+  /// FsyncMode::Sync this parks until the record is on stable storage
+  /// (bounded by the park window + one fsync); otherwise it returns
+  /// after the in-memory append.
   void logCommit(uint32_t Partition, uint64_t CommitSeq, uint32_t Shard,
                  const WalMutation *Muts, size_t NumMuts);
 
   /// Single-mutation form for the bare-operation hooks: semantically the
   /// array overload with one `(Op, Full)` mutation, but it encodes
   /// straight from the caller's tuple — no WalMutation and no tuple copy
-  /// on the per-operation commit path. (A copy still happens when a
-  /// replication channel is attached: the published record must own its
-  /// tuple.)
+  /// on the per-operation commit path.
   void logCommit(uint32_t Partition, uint64_t CommitSeq, uint32_t Shard,
                  WalOp Op, const Tuple &Full);
 
@@ -205,9 +161,7 @@ public:
   /// byte-identical to the array overload fed `{Op, Full.project(
   /// Project)}` mutations (tuple entries are stored in column order, so
   /// filtering while encoding writes the same bytes — wal_test asserts
-  /// the equivalence). \p Mut may be called a second time per index
-  /// when a replication channel is attached (the published record must
-  /// own its tuples).
+  /// the equivalence).
   void logCommit(uint32_t Partition, uint64_t CommitSeq, uint32_t Shard,
                  size_t NumMuts, ColumnSet Project,
                  function_ref<WalOp(size_t, const Tuple *&)> Mut);
@@ -225,14 +179,6 @@ public:
   /// writers call this after the checkpoint file is durably renamed in
   /// place. Returns the number of segment files removed.
   unsigned pruneSegments(uint32_t Partition, uint64_t Watermark);
-
-  /// Attaches/detaches the live replication channel. Attach before
-  /// traffic (or accept that the follower starts with a gap and heals
-  /// it via backfill).
-  void attachChannel(CommitChannel *Ch) {
-    Channel.store(Ch, std::memory_order_release);
-  }
-  void detachChannel() { Channel.store(nullptr, std::memory_order_release); }
 
   unsigned partitions() const {
     return static_cast<unsigned>(Parts.size());
@@ -262,10 +208,9 @@ public:
   /// Registers the log's counters with \p R under \p Labels
   /// (wal.records_appended / bytes_appended / flush_rounds /
   /// segment_rotations) and points WalFlushRound / WalSegmentRotate
-  /// trace events at the registry's Wal-domain ring. Same lifetime
-  /// contract as attachChannel: attach before traffic; the destructor
-  /// detaches, so destroy the registry after the log (or call
-  /// detachMetrics() first).
+  /// trace events at the registry's Wal-domain ring. Attach before
+  /// traffic; the destructor detaches, so destroy the registry after
+  /// the log (or call detachMetrics() first).
   /// @{
   void attachMetrics(obs::MetricsRegistry &R, obs::MetricLabels Labels = {});
   void detachMetrics();
@@ -303,13 +248,11 @@ private:
   /// Failed on open failure.
   void rotateSegmentLocked(Partition &P, unsigned Index);
   /// Shared tail of the logCommit overloads: appends the wire bytes in
-  /// \p Encoded to partition \p Partition, publishes \p MakeRecord()'s
-  /// result to the channel if one is attached (both under the partition
-  /// mutex), wakes the flusher, and parks for durability in Sync mode.
+  /// \p Encoded to partition \p Partition under the partition mutex,
+  /// wakes the flusher, and parks for durability in Sync mode.
   /// \p CommitSeq feeds the per-segment max used by pruneSegments.
   void appendEncoded(uint32_t Partition, uint64_t CommitSeq,
-                     const std::vector<uint8_t> &Encoded,
-                     function_ref<WalRecord()> MakeRecord);
+                     const std::vector<uint8_t> &Encoded);
 
   std::string Dir;
   FsyncMode Mode = FsyncMode::Batched;
@@ -317,7 +260,6 @@ private:
   unsigned FlushMicros = 5000;
   uint64_t SegmentBytes = 0;
   std::vector<std::unique_ptr<Partition>> Parts;
-  std::atomic<CommitChannel *> Channel{nullptr};
 
   /// Flusher coordination: appenders flip DirtyFlag (warm path: one
   /// atomic read) and signal Cv; the flusher parks for the batching

@@ -10,8 +10,9 @@
 /// bounds), the bounded event-trace ring (overwrite keeps the newest
 /// Capacity events), the registry (dedup, callbacks, enable/sampling
 /// knobs), the relation wiring (attachMetrics exports the counters the
-/// relation already keeps; detach stops the export), the event-ring
-/// acceptance capture — a full migration (both flips), a checkpoint,
+/// relation already keeps; detach stops the export), the follower
+/// wiring (applied/anomaly/gap/poll counters, same callback path), the
+/// event-ring acceptance capture — a full migration (both flips), a checkpoint,
 /// and a wait-die abort, each showing up in its domain's ring — the
 /// adaptPlans retirement of cold secondary chain directories, and one
 /// end-of-run snapshot exporting valid crs-metrics/1 JSON plus
@@ -26,6 +27,7 @@
 #include "sync/Epoch.h"
 #include "txn/Transaction.h"
 #include "wal/Checkpoint.h"
+#include "wal/Follower.h"
 #include "wal/Wal.h"
 
 #include <gtest/gtest.h>
@@ -403,6 +405,46 @@ TEST(ObsRelation, VersionStoreGrowthExported) {
     }
   EXPECT_EQ(Events, Resizes->Value);
   R.detachMetrics();
+}
+
+TEST(ObsFollower, AttachExportsFollowerCounters) {
+  MetricsRegistry Reg;
+  TempDir Dir;
+  std::string Err;
+  auto Log = WriteAheadLog::open(walOpts(Dir.Path), &Err);
+  ASSERT_TRUE(Log) << Err;
+  ConcurrentRelation R(stickCoarse());
+  const RelationSpec &Spec = R.spec();
+  R.attachWal(*Log);
+  FollowerRelation F(stickCoarse(), *Log);
+  F.attachMetrics(Reg, {{"replica", "unit"}});
+  for (int64_t I = 0; I < 12; ++I)
+    ASSERT_TRUE(R.insert(key(Spec, I, 0), weight(Spec, I)));
+  R.detachWal();
+  Log->flush();
+  ASSERT_TRUE(F.waitCaughtUp());
+
+  // The exported values are the follower's own counters, read through
+  // snapshot-time callbacks.
+  MetricsSnapshot S = Reg.snapshot();
+  const auto *Applied = findCounter(S, "follower.applied_records");
+  const auto *Anomalies = findCounter(S, "follower.anomalies");
+  const auto *Gaps = findCounter(S, "follower.gaps");
+  const auto *Rounds = findCounter(S, "follower.poll_rounds");
+  ASSERT_NE(Applied, nullptr);
+  ASSERT_NE(Anomalies, nullptr);
+  ASSERT_NE(Gaps, nullptr);
+  ASSERT_NE(Rounds, nullptr);
+  EXPECT_EQ(Applied->Value, 12u);
+  EXPECT_EQ(Anomalies->Value, 0u);
+  EXPECT_EQ(Gaps->Value, 0u);
+  EXPECT_GT(Rounds->Value, 0u);
+  ASSERT_EQ(Applied->Labels.size(), 1u);
+  EXPECT_EQ(Applied->Labels[0].second, "unit");
+
+  F.detachMetrics();
+  EXPECT_EQ(findCounter(Reg.snapshot(), "follower.applied_records"),
+            nullptr);
 }
 
 //===----------------------------------------------------------------------===//

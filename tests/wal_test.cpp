@@ -11,9 +11,9 @@
 /// durability-on-return, checkpoint + crash recovery against the
 /// StressHarness oracle — including the deterministic torn-tail
 /// truncation and the kill-during-checkpoint fallback — follower
-/// relations over the live commit stream (equality with the
-/// committed-only oracle, watermark monotonicity, gap healing through
-/// a deliberately tiny channel), and the wait-die lock-priority
+/// relations tailing the log (equality with the committed-only
+/// oracle across segment rotations, the log-defined catch-up wait,
+/// pruned segments reported as gaps), and the wait-die lock-priority
 /// discipline on transaction scopes.
 ///
 //===----------------------------------------------------------------------===//
@@ -352,22 +352,6 @@ TEST(Wal, SyncModeIsDurableOnReturn) {
   EXPECT_EQ(R.Records[0].Muts.size(), 1u);
 }
 
-TEST(Wal, ChannelDropsWhenFullButStreamSeqStaysDense) {
-  CommitChannel Ch(/*Capacity=*/2);
-  for (uint64_t I = 1; I <= 5; ++I) {
-    WalRecord Rec;
-    Rec.CommitSeq = I;
-    Ch.publish(std::move(Rec));
-  }
-  std::vector<CommitChannel::Item> Items;
-  EXPECT_EQ(Ch.drain(Items), 2u);
-  ASSERT_EQ(Items.size(), 2u);
-  EXPECT_EQ(Items[0].StreamSeq, 1u);
-  EXPECT_EQ(Items[1].StreamSeq, 2u);
-  EXPECT_EQ(Ch.published(), 5u); // dropped records still advance it:
-  EXPECT_EQ(Ch.dropped(), 3u);   // the consumer sees the jump as a gap
-}
-
 //===----------------------------------------------------------------------===//
 // Recovery
 //===----------------------------------------------------------------------===//
@@ -580,21 +564,22 @@ TEST(WalRecovery, KillDuringCheckpointFallsBackToOlderCheckpoint) {
 //===----------------------------------------------------------------------===//
 
 TEST(Follower, TracksCommittedStateUnderStress) {
-  // A follower on a *different representation* than the primary,
-  // consuming the live channel while 4 threads commit, force-abort, and
-  // die on conflicts. Once the writers quiesce and the applier drains,
-  // the replica must equal both the primary and the committed-only
-  // oracle — an uncommitted or out-of-order mutation would persist as
-  // a phantom/rewritten edge.
+  // A live follower on a *different representation* than the primary,
+  // tailing the log while 4 threads commit, force-abort, and die on
+  // conflicts. Tiny segments make the flusher rotate every few rounds,
+  // so the live cursor crosses segment boundaries under load. Once the
+  // writers quiesce and the follower catches up, the replica must equal
+  // both the primary and the committed-only oracle — an uncommitted or
+  // out-of-order mutation would persist as a phantom/rewritten edge.
   TempDir D;
   std::string Err;
   ConcurrentRelation R(stickCoarse());
-  auto Log = WriteAheadLog::open(walOpts(D.Path), &Err);
+  WriteAheadLog::Options O = walOpts(D.Path);
+  O.SegmentBytes = 4096;
+  auto Log = WriteAheadLog::open(O, &Err);
   ASSERT_TRUE(Log) << Err;
-  CommitChannel Ch;
-  Log->attachChannel(&Ch);
   R.attachWal(*Log);
-  FollowerRelation F(splitStriped(), Ch, [&] { return R.scanAll(); });
+  FollowerRelation F(splitStriped(), *Log);
 
   stress::TxnStressOptions Opts;
   Opts.Threads = 4;
@@ -603,16 +588,19 @@ TEST(Follower, TracksCommittedStateUnderStress) {
   Opts.OpsBeforeAction = 600;
   Opts.OpsAfterAction = 600;
   Opts.Seed = 20120616;
-  uint64_t MidWatermark = 0;
+  uint64_t MidSeq = 0;
   stress::TxnStressReport Rep = stress::runTxnStressWithOracle(
-      R, Opts, [&] { MidWatermark = F.appliedSeq(); });
+      R, Opts, [&] { MidSeq = F.appliedSeq(); });
   ASSERT_TRUE(Rep.Errors.empty()) << Rep.hint();
 
-  F.stop(); // drains everything published before the writers stopped
-  EXPECT_GT(F.appliedRecords(), 0u);
-  EXPECT_GE(F.appliedSeq(), MidWatermark) << "watermark regressed";
-  if (Ch.dropped() == 0) // healing folds records into backfill walks
-    EXPECT_EQ(F.appliedRecords(), Log->recordsAppended());
+  Log->flush();
+  ASSERT_TRUE(F.waitCaughtUp()) << "gaps " << F.gaps();
+  F.stop();
+  EXPECT_GT(Log->segmentRotations(), 0u) << "the cursor never crossed";
+  EXPECT_GE(F.appliedSeq(), MidSeq) << "applied sequence regressed";
+  EXPECT_EQ(F.appliedRecords(), Log->recordsAppended());
+  EXPECT_EQ(F.gaps(), 0u);
+  EXPECT_EQ(F.anomalies(), 0u);
 
   std::vector<std::string> Diffs = stress::diffFinalState(
       F.relation().scanAll(), F.relation().spec(), Rep.Expected);
@@ -625,66 +613,107 @@ TEST(Follower, TracksCommittedStateUnderStress) {
   R.detachWal();
 }
 
-TEST(Follower, HealsGapsThroughATinyChannel) {
-  // A 4-slot channel under 4 writer threads guarantees drops; every
-  // drop forces the backfill walk. Convergence to the committed state
-  // is the whole point of the healing protocol.
+TEST(Follower, ManualModePublishesWatermarkAfterMutations) {
   TempDir D;
   std::string Err;
-  ConcurrentRelation R(stickCoarse());
   auto Log = WriteAheadLog::open(walOpts(D.Path), &Err);
   ASSERT_TRUE(Log) << Err;
-  CommitChannel Ch(/*Capacity=*/4);
-  Log->attachChannel(&Ch);
-  R.attachWal(*Log);
-  FollowerRelation::Options FO;
-  FO.PollMicros = 2000; // park long enough that the channel overflows
-  FollowerRelation F(stickCoarse(), Ch, [&] { return R.scanAll(); }, FO);
-
-  stress::TxnStressOptions Opts;
-  Opts.Threads = 4;
-  Opts.MaxOpsPerTxn = 2;
-  Opts.ForcedAbortPct = 10;
-  Opts.OpsBeforeAction = 500;
-  Opts.OpsAfterAction = 500;
-  Opts.Seed = 20120617;
-  stress::TxnStressReport Rep = stress::runTxnStressWithOracle(R, Opts);
-  ASSERT_TRUE(Rep.Errors.empty()) << Rep.hint();
-
-  F.stop();
-  EXPECT_GT(Ch.dropped(), 0u) << "channel never overflowed; grow the run";
-  EXPECT_GT(F.gapsHealed(), 0u);
-  EXPECT_EQ(sorted(F.relation().scanAll()), sorted(R.scanAll()))
-      << Rep.hint();
-  std::vector<std::string> Diffs = stress::diffFinalState(
-      F.relation().scanAll(), F.relation().spec(), Rep.Expected);
-  EXPECT_TRUE(Diffs.empty())
-      << Diffs.size() << " follower diffs; first: " << Diffs.front() << "; "
-      << Rep.hint();
-  R.detachWal();
-}
-
-TEST(Follower, ManualModePublishesWatermarkAfterMutations) {
-  FollowerRelation F(stickCoarse());
+  FollowerRelation F(stickCoarse(), D.Path, 1);
   const RelationSpec &Spec = F.relation().spec();
-  WalRecord Rec;
-  Rec.CommitSeq = 41;
-  Rec.Muts.push_back({WalOp::Insert, edge(Spec, 1, 2, 30)});
-  Rec.Muts.push_back({WalOp::Insert, edge(Spec, 2, 3, 40)});
-  F.apply(Rec);
+  WalMutation Ins[2] = {{WalOp::Insert, edge(Spec, 1, 2, 30)},
+                        {WalOp::Insert, edge(Spec, 2, 3, 40)}};
+  Log->logCommit(0, /*CommitSeq=*/41, 0, Ins, 2);
+  Log->flush();
+  EXPECT_EQ(F.pollOnce(), 1u);
   EXPECT_EQ(F.appliedSeq(), 41u);
   EXPECT_EQ(F.relation().size(), 2u);
-  EXPECT_TRUE(F.waitApplied(41, /*TimeoutMs=*/10));
-  EXPECT_FALSE(F.waitApplied(42, /*TimeoutMs=*/10));
+  EXPECT_TRUE(F.waitCaughtUp(/*TimeoutMs=*/10));
+  EXPECT_EQ(F.pollOnce(), 0u); // the cursor advanced: no re-apply
 
-  WalRecord Rm;
-  Rm.CommitSeq = 45;
-  Rm.Muts.push_back({WalOp::Remove, edge(Spec, 1, 2, 30)});
-  F.apply(Rm);
+  WalMutation Rm{WalOp::Remove, edge(Spec, 1, 2, 30)};
+  Log->logCommit(0, /*CommitSeq=*/45, 0, &Rm, 1);
+  Log->flush();
+  EXPECT_EQ(F.pollOnce(), 1u);
   EXPECT_EQ(F.appliedSeq(), 45u);
   EXPECT_EQ(F.query(key(Spec, 1, 2), Spec.allColumns()).size(), 0u);
   EXPECT_EQ(F.query(key(Spec, 2, 3), Spec.allColumns()).size(), 1u);
   EXPECT_EQ(F.anomalies(), 0u);
+  EXPECT_EQ(F.appliedRecords(), 2u);
+}
+
+TEST(Follower, CaughtUpWaitCoversOutOfOrderCommitSequences) {
+  // A bare mutation stamps its commit sequence before it appends, so
+  // two non-conflicting commits stamped 5 and 6 can reach one
+  // partition in the order 6, 5. A follower that has applied 6 alone
+  // has an applied sequence ≥ 5 while 5 is still absent: a wait on
+  // sequence numbers would return early there. waitCaughtUp must not.
+  TempDir D;
+  std::string Err;
+  auto Log = WriteAheadLog::open(walOpts(D.Path), &Err);
+  ASSERT_TRUE(Log) << Err;
+  FollowerRelation F(stickCoarse(), *Log); // live: the applier thread
+  const RelationSpec &Spec = F.relation().spec();
+  WalMutation Six{WalOp::Insert, edge(Spec, 6, 6, 60)};
+  WalMutation Five{WalOp::Insert, edge(Spec, 5, 5, 50)};
+
+  Log->logCommit(0, /*CommitSeq=*/6, 0, &Six, 1);
+  Log->flush();
+  ASSERT_TRUE(F.waitCaughtUp());
+  EXPECT_EQ(F.appliedSeq(), 6u);
+  EXPECT_EQ(F.query(key(Spec, 5, 5), Spec.allColumns()).size(), 0u)
+      << "seq 5 is not in the log yet";
+
+  Log->logCommit(0, /*CommitSeq=*/5, 0, &Five, 1);
+  Log->flush();
+  ASSERT_TRUE(F.waitCaughtUp());
+  EXPECT_EQ(F.query(key(Spec, 5, 5), Spec.allColumns()).size(), 1u);
+  EXPECT_EQ(F.query(key(Spec, 6, 6), Spec.allColumns()).size(), 1u);
+  EXPECT_EQ(F.appliedSeq(), 6u); // a lag indicator, not a watermark
+  EXPECT_EQ(F.appliedRecords(), 2u);
+}
+
+TEST(Follower, PrunedSegmentIsReportedAsAGap) {
+  // A checkpoint prunes sealed segments a lagging follower never read:
+  // the follower has lost records, and says so. A follower that keeps
+  // up reads every segment before it is pruned and reports nothing.
+  TempDir D;
+  std::string Err;
+  WriteAheadLog::Options O = walOpts(D.Path);
+  O.SegmentBytes = 128;
+  auto Log = WriteAheadLog::open(O, &Err);
+  ASSERT_TRUE(Log) << Err;
+  ConcurrentRelation R(stickCoarse());
+  const RelationSpec &Spec = R.spec();
+  R.attachWal(*Log);
+  FollowerRelation Lagging(stickCoarse(), D.Path, 1);
+  FollowerRelation KeepsUp(stickCoarse(), D.Path, 1);
+
+  for (int64_t S = 0; S < 40; ++S) {
+    ASSERT_TRUE(R.insert(key(Spec, S, S + 1), weight(Spec, S)));
+    if (S % 4 == 3) {
+      Log->flush();
+      KeepsUp.pollOnce();
+      if (S == 3)
+        Lagging.pollOnce(); // then it stops polling
+    }
+  }
+  ASSERT_GT(listWalSegments(D.Path, 0).size(), 2u);
+  uint64_t Watermark = 0;
+  ASSERT_TRUE(writeCheckpoint(R, D.Path, /*Shard=*/0, &Watermark, &Err))
+      << Err;
+  ASSERT_EQ(listWalSegments(D.Path, 0).size(), 1u) << "nothing was pruned";
+  for (int64_t S = 100; S < 104; ++S)
+    ASSERT_TRUE(R.insert(key(Spec, S, S + 1), weight(Spec, S)));
+  R.detachWal();
+  Log->flush();
+
+  EXPECT_TRUE(KeepsUp.waitCaughtUp(/*TimeoutMs=*/1000));
+  EXPECT_EQ(KeepsUp.gaps(), 0u);
+  EXPECT_EQ(sorted(KeepsUp.relation().scanAll()), sorted(R.scanAll()));
+
+  EXPECT_FALSE(Lagging.waitCaughtUp(/*TimeoutMs=*/1000));
+  EXPECT_EQ(Lagging.gaps(), 1u);
+  EXPECT_LT(Lagging.relation().size(), R.size());
 }
 
 TEST(Follower, FileTailerSeesExactlyTheAppendedRecords) {
