@@ -21,6 +21,7 @@
 #include "containers/CowArrayMap.h"
 #include "support/Hashing.h"
 #include "support/Table.h"
+#include "sync/Epoch.h"
 
 #include <algorithm>
 #include <atomic>
@@ -42,21 +43,28 @@ struct IntLess {
 };
 
 /// Lookup/write + write/write probe: concurrent inserts on interleaved
-/// keys with a racing reader; validates the final contents.
+/// keys with a racing reader; validates the final contents. Every
+/// operation runs in its own epoch guard, the concurrent maps' contract.
 template <typename Map> bool probeReadWrite(Map &M) {
   std::atomic<bool> Stop{false};
   std::thread Writer([&] {
-    for (int64_t I = 0; I < 20000; ++I)
+    for (int64_t I = 0; I < 20000; ++I) {
+      EpochDomain::Guard G;
       M.insertOrAssign(I % 512, I);
+    }
   });
   std::thread Writer2([&] {
-    for (int64_t I = 0; I < 20000; ++I)
+    for (int64_t I = 0; I < 20000; ++I) {
+      EpochDomain::Guard G;
       M.insertOrAssign(512 + (I % 512), I);
+    }
   });
   std::thread Reader([&] {
     int64_t Out;
-    while (!Stop.load(std::memory_order_acquire))
+    while (!Stop.load(std::memory_order_acquire)) {
+      EpochDomain::Guard G;
       M.lookup(7, Out);
+    }
   });
   Writer.join();
   Writer2.join();
@@ -74,22 +82,29 @@ template <typename Map> bool probeReadWrite(Map &M) {
 /// not seen within the same scan. Weakly consistent iteration can.
 /// Returns the number of scans that observed a gap.
 template <typename Map> uint64_t probeWeakScan(Map &M) {
-  for (int64_t I = 0; I < 2048; I += 2)
+  for (int64_t I = 0; I < 2048; I += 2) {
+    EpochDomain::Guard G;
     M.insertOrAssign(I, I); // even keys: fixed background
+  }
   std::atomic<bool> Stop{false};
   uint64_t Anomalies = 0;
   std::thread Writer([&] {
     for (int64_t Round = 0; Round < 400; ++Round) {
-      for (int64_t I = 1; I < 2048; I += 2)
+      for (int64_t I = 1; I < 2048; I += 2) {
+        EpochDomain::Guard G;
         M.insertOrAssign(I, I);
-      for (int64_t I = 1; I < 2048; I += 2)
+      }
+      for (int64_t I = 1; I < 2048; I += 2) {
+        EpochDomain::Guard G;
         M.erase(I);
+      }
     }
     Stop.store(true, std::memory_order_release);
   });
   std::vector<int64_t> Odds;
   while (!Stop.load(std::memory_order_acquire)) {
     Odds.clear();
+    EpochDomain::Guard G;
     M.scan([&](const int64_t &K, const int64_t &) {
       if (K % 2 == 1)
         Odds.push_back(K);
@@ -128,7 +143,7 @@ int main() {
 
   std::printf("\n--- empirical validation of the concurrent rows ---\n");
   {
-    ConcurrentHashMap<int64_t, int64_t, IntHash> M(1024);
+    ConcurrentHashMap<int64_t, int64_t, IntHash> M;
     std::printf("ConcurrentHashMap     L/W + W/W probe: %s\n",
                 probeReadWrite(M) ? "consistent" : "CORRUPTED");
   }
@@ -143,7 +158,7 @@ int main() {
                 probeReadWrite(M) ? "consistent" : "CORRUPTED");
   }
   {
-    ConcurrentHashMap<int64_t, int64_t, IntHash> M(1024);
+    ConcurrentHashMap<int64_t, int64_t, IntHash> M;
     uint64_t A = probeWeakScan(M);
     std::printf("ConcurrentHashMap     scan consistency: %llu anomalies "
                 "(weakly consistent: anomalies expected under load)\n",

@@ -9,8 +9,14 @@
 
 using namespace crs;
 
+bool HandcodedGraph::find(const TopLevel &Map, int64_t Key, AdjPtr &Out) {
+  EpochDomain::Guard EG;
+  return Map.lookup(Key, Out);
+}
+
 HandcodedGraph::AdjPtr HandcodedGraph::getOrCreate(TopLevel &Map,
                                                    int64_t Key) {
+  EpochDomain::Guard EG;
   AdjPtr Adj;
   if (Map.lookup(Key, Adj))
     return Adj;
@@ -39,7 +45,7 @@ bool HandcodedGraph::insertEdge(int64_t Src, int64_t Dst, int64_t Weight) {
 
 bool HandcodedGraph::removeEdge(int64_t Src, int64_t Dst) {
   AdjPtr Fwd, Rev;
-  if (!Forward.lookup(Src, Fwd) || !Reverse.lookup(Dst, Rev))
+  if (!find(Forward, Src, Fwd) || !find(Reverse, Dst, Rev))
     return false;
   std::scoped_lock Guard(Fwd->Mutex, Rev->Mutex);
   if (!Fwd->Entries.erase(Dst))
@@ -53,7 +59,7 @@ std::vector<std::pair<int64_t, int64_t>>
 HandcodedGraph::successors(int64_t Src) const {
   std::vector<std::pair<int64_t, int64_t>> Out;
   AdjPtr Adj;
-  if (!Forward.lookup(Src, Adj))
+  if (!find(Forward, Src, Adj))
     return Out;
   std::lock_guard<std::mutex> Guard(Adj->Mutex);
   Adj->Entries.scan([&](const int64_t &Dst, const int64_t &Weight) {
@@ -67,7 +73,7 @@ std::vector<std::pair<int64_t, int64_t>>
 HandcodedGraph::predecessors(int64_t Dst) const {
   std::vector<std::pair<int64_t, int64_t>> Out;
   AdjPtr Adj;
-  if (!Reverse.lookup(Dst, Adj))
+  if (!find(Reverse, Dst, Adj))
     return Out;
   std::lock_guard<std::mutex> Guard(Adj->Mutex);
   Adj->Entries.scan([&](const int64_t &Src, const int64_t &Weight) {
@@ -80,7 +86,7 @@ HandcodedGraph::predecessors(int64_t Dst) const {
 bool HandcodedGraph::lookupWeight(int64_t Src, int64_t Dst,
                                   int64_t &Weight) const {
   AdjPtr Adj;
-  if (!Forward.lookup(Src, Adj))
+  if (!find(Forward, Src, Adj))
     return false;
   std::lock_guard<std::mutex> Guard(Adj->Mutex);
   return Adj->Entries.lookup(Dst, Weight);

@@ -23,6 +23,7 @@
 #include "containers/ConcurrentHashMap.h"
 #include "containers/TreeMap.h"
 #include "support/Hashing.h"
+#include "sync/Epoch.h"
 
 #include <cstdint>
 #include <memory>
@@ -73,11 +74,15 @@ private:
   using AdjPtr = std::shared_ptr<Adjacency>;
   using TopLevel = ConcurrentHashMap<int64_t, AdjPtr, Int64Hash>;
 
+  /// The adjacency list for \p Key in \p Map, if any. The top-level
+  /// maps are read inside an epoch guard (ConcurrentHashMap's contract);
+  /// the returned reference keeps the list alive after it exits.
+  static bool find(const TopLevel &Map, int64_t Key, AdjPtr &Out);
   /// Finds or creates the adjacency list for \p Key in \p Map.
   static AdjPtr getOrCreate(TopLevel &Map, int64_t Key);
 
-  TopLevel Forward{1024}; ///< src -> (dst -> weight)
-  TopLevel Reverse{1024}; ///< dst -> (src -> weight)
+  TopLevel Forward; ///< src -> (dst -> weight)
+  TopLevel Reverse; ///< dst -> (src -> weight)
   std::atomic<size_t> Count{0};
 };
 

@@ -6,167 +6,170 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A from-scratch bucket-locked concurrent hash map — the analogue of
-/// java.util.concurrent.ConcurrentHashMap in the Figure 1 taxonomy:
-/// lookups and writes are individually linearizable with no external
-/// synchronization (each bucket is guarded by its own reader-writer
-/// lock, and an operation's linearization point is inside its bucket
-/// critical section); iteration is safe but only *weakly consistent* —
-/// it walks buckets one at a time, so it may miss updates that happen
-/// in buckets it has already passed.
+/// The analogue of java.util.concurrent.ConcurrentHashMap in the
+/// Figure 1 taxonomy, built on the library's one concurrent hash table
+/// (containers/GrowableHashTable.h):
 ///
-/// The bucket count is fixed at construction (a power of two). This is
-/// a deliberate deviation from the JDK container, which resizes: for
-/// decomposition synthesis only the taxonomy properties matter, and a
-/// fixed table keeps the concurrency argument trivially sound.
+///  * **Growth.** The table starts at its minimum size and doubles
+///    whenever its entries average more than two per bucket, so there
+///    is no bucket count to choose and a lookup walks about two nodes.
+///  * **Reads take no lock.** Lookups and scans walk the bucket lists
+///    inside the caller's epoch guard. Writers take the lock stripe
+///    covering the key's hash; erase unlinks the node and retires it
+///    through EpochDomain::global(), and an assign of a new value links
+///    a fresh node in the old one's place (one store) and retires the
+///    old one, so a reader never sees a value written in place.
+///  * **Figure 1 traits.** Lookups and writes are linearizable: a
+///    point operation takes effect at its one store or load of the
+///    bucket link. Iteration is weakly consistent: it walks one bucket
+///    at a time, sees every entry present for the whole scan, and may
+///    or may not see entries inserted or erased meanwhile.
+///
+/// **Guard contract** (SingletonCell's): every operation but size() and
+/// buckets() runs inside an EpochDomain::global() guard; debug builds
+/// assert it. Every plan execution already holds one.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRS_CONTAINERS_CONCURRENTHASHMAP_H
 #define CRS_CONTAINERS_CONCURRENTHASHMAP_H
 
+#include "containers/GrowableHashTable.h"
 #include "support/Compiler.h"
+#include "sync/Epoch.h"
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <utility>
-#include <vector>
 
 namespace crs {
 
-/// Bucket-locked concurrent hash map. All operations are safe to call
-/// from any number of threads concurrently.
+/// Growable concurrent hash map with lock-free reads. All operations
+/// are safe to call from any number of threads concurrently, inside an
+/// epoch guard.
 template <typename K, typename V, typename HashFn> class ConcurrentHashMap {
-  struct Node {
+  struct Node : GrowableHashLinks<Node> {
+    uint64_t Hash;
     K Key;
-    V Val;
-    Node *Next;
+    V Val; ///< immutable once linked
+    Node(uint64_t Hash, const K &Key, V Val)
+        : Hash(Hash), Key(Key), Val(std::move(Val)) {}
   };
 
-  struct alignas(64) Bucket {
-    mutable std::shared_mutex Mutex;
-    Node *Head = nullptr;
-  };
-
-  std::vector<std::unique_ptr<Bucket[]>> Storage;
-  Bucket *Buckets;
-  size_t NumBuckets;
+  GrowableHashTable<Node> Table;
   std::atomic<size_t> NumEntries{0};
   HashFn Hasher;
 
-  Bucket &bucketFor(const K &Key) const {
-    return Buckets[Hasher(Key) & (NumBuckets - 1)];
+  static void assertGuarded() {
+    assert(EpochDomain::global().inGuard() &&
+           "ConcurrentHashMap reads epoch-reclaimed nodes; pin a guard first");
+  }
+
+  const Node *find(const K &Key, uint64_t H) const {
+    return Table.find(
+        H, [&](const Node *N) { return N->Hash == H && N->Key == Key; });
+  }
+
+  /// Inserts \p Key when absent; otherwise, if \p Assign and \p Val
+  /// differs from the present value, links a fresh node in the old one's
+  /// place. Returns true on insert.
+  bool put(const K &Key, V Val, bool Assign) {
+    assertGuarded();
+    uint64_t H = Hasher(Key);
+    Node *Replaced = nullptr;
+    bool Grow = false;
+    {
+      std::lock_guard<std::mutex> G(Table.stripe(H));
+      if (const Node *Old = find(Key, H)) {
+        if (!Assign || Old->Val == Val)
+          return false;
+        Replaced = Table.unlinkIf(
+            H, [Old](const Node *N) { return N == Old; },
+            new Node(H, Key, std::move(Val)));
+      } else {
+        Grow = Table.push(new Node(H, Key, std::move(Val)), H);
+        NumEntries.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (Replaced) {
+      EpochDomain::global().retireObject(Replaced);
+      return false;
+    }
+    if (Grow) {
+      size_t Moved;
+      Table.grow([](const Node *N) { return N->Hash; }, Moved);
+    }
+    return true;
   }
 
 public:
-  explicit ConcurrentHashMap(size_t BucketCount = 256)
-      : NumBuckets(BucketCount) {
-    assert((BucketCount & (BucketCount - 1)) == 0 &&
-           "bucket count must be a power of two");
-    Storage.push_back(std::make_unique<Bucket[]>(NumBuckets));
-    Buckets = Storage.back().get();
-  }
+  ConcurrentHashMap() = default;
 
-  ~ConcurrentHashMap() { clear(); }
+  ~ConcurrentHashMap() {
+    // Destruction implies quiescence; anything already retired is owned
+    // by the epoch domain.
+    Table.forEach([](Node *N) {
+      delete N;
+      return true;
+    });
+  }
 
   ConcurrentHashMap(const ConcurrentHashMap &) = delete;
   ConcurrentHashMap &operator=(const ConcurrentHashMap &) = delete;
 
   /// Linearizable lookup: returns true and sets \p Out if present.
   bool lookup(const K &Key, V &Out) const {
-    Bucket &B = bucketFor(Key);
-    std::shared_lock<std::shared_mutex> Guard(B.Mutex);
-    for (Node *N = B.Head; N; N = N->Next)
-      if (N->Key == Key) {
-        Out = N->Val;
-        return true;
-      }
-    return false;
-  }
-
-  bool contains(const K &Key) const {
-    V Ignored;
-    return lookup(Key, Ignored);
+    assertGuarded();
+    const Node *N = find(Key, Hasher(Key));
+    if (!N)
+      return false;
+    Out = N->Val;
+    return true;
   }
 
   /// Linearizable insert-or-replace; returns true if newly inserted.
   bool insertOrAssign(const K &Key, V Val) {
-    Bucket &B = bucketFor(Key);
-    std::unique_lock<std::shared_mutex> Guard(B.Mutex);
-    for (Node *N = B.Head; N; N = N->Next)
-      if (N->Key == Key) {
-        N->Val = std::move(Val);
-        return false;
-      }
-    B.Head = new Node{Key, std::move(Val), B.Head};
-    NumEntries.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    return put(Key, std::move(Val), /*Assign=*/true);
   }
 
   /// Linearizable conditional insert (put-if-absent): inserts only if the
   /// key is absent; returns true on insert.
   bool insertIfAbsent(const K &Key, V Val) {
-    Bucket &B = bucketFor(Key);
-    std::unique_lock<std::shared_mutex> Guard(B.Mutex);
-    for (Node *N = B.Head; N; N = N->Next)
-      if (N->Key == Key)
-        return false;
-    B.Head = new Node{Key, std::move(Val), B.Head};
-    NumEntries.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    return put(Key, std::move(Val), /*Assign=*/false);
   }
 
   /// Linearizable removal; returns true if the key was present.
   bool erase(const K &Key) {
-    Bucket &B = bucketFor(Key);
-    std::unique_lock<std::shared_mutex> Guard(B.Mutex);
-    Node **Link = &B.Head;
-    while (*Link) {
-      if ((*Link)->Key == Key) {
-        Node *Dead = *Link;
-        *Link = Dead->Next;
-        delete Dead;
-        NumEntries.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-      }
-      Link = &(*Link)->Next;
+    assertGuarded();
+    uint64_t H = Hasher(Key);
+    Node *Dead;
+    {
+      std::lock_guard<std::mutex> G(Table.stripe(H));
+      Dead = Table.unlinkIf(
+          H, [&](const Node *N) { return N->Hash == H && N->Key == Key; });
+      if (!Dead)
+        return false;
+      NumEntries.fetch_sub(1, std::memory_order_relaxed);
     }
-    return false;
+    EpochDomain::global().retireObject(Dead);
+    return true;
   }
 
   /// Weakly consistent scan: safe in parallel with writes, but entries
-  /// inserted or removed during the scan may or may not be observed. The
-  /// visitor must not call back into this map (bucket lock is held).
+  /// inserted or removed during the scan may or may not be observed.
+  /// The visitor returns false to stop early.
   template <typename Fn> void scan(Fn Visit) const {
-    for (size_t I = 0; I < NumBuckets; ++I) {
-      Bucket &B = Buckets[I];
-      std::shared_lock<std::shared_mutex> Guard(B.Mutex);
-      for (Node *N = B.Head; N; N = N->Next)
-        if (!Visit(static_cast<const K &>(N->Key),
-                   static_cast<const V &>(N->Val)))
-          return;
-    }
+    assertGuarded();
+    Table.forEach([&](const Node *N) {
+      return Visit(static_cast<const K &>(N->Key),
+                   static_cast<const V &>(N->Val));
+    });
   }
 
   size_t size() const { return NumEntries.load(std::memory_order_relaxed); }
-  bool empty() const { return size() == 0; }
-
-  /// Not thread-safe (destruction-time helper).
-  void clear() {
-    for (size_t I = 0; I < NumBuckets; ++I) {
-      Node *N = Buckets[I].Head;
-      while (N) {
-        Node *Next = N->Next;
-        delete N;
-        N = Next;
-      }
-      Buckets[I].Head = nullptr;
-    }
-    NumEntries.store(0, std::memory_order_relaxed);
-  }
+  /// Buckets in the current head array (grows with the entries).
+  size_t buckets() const { return Table.buckets(); }
 };
 
 } // namespace crs

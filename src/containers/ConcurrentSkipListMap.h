@@ -15,20 +15,24 @@
 ///
 ///  * nodes carry a per-node lock, a `Marked` flag (logical deletion),
 ///    and a `FullyLinked` flag (insertion visibility);
-///  * traversals run without locks; inserts lock the predecessors at
-///    every level and validate; removes mark the victim first (the
-///    linearization point), then unlink;
+///  * lookups, scans and traversals take no lock; inserts lock the
+///    predecessors at every level and validate; removes mark the victim
+///    first (the linearization point), then unlink;
 ///  * lookups and writes are linearizable; iteration over level 0 is
 ///    safe but weakly consistent, in sorted key order.
 ///
-/// Memory reclamation: the JVM original relies on garbage collection.
-/// Here, unlinked nodes are *retired* to a deferred free list and
-/// reclaimed when the map is destroyed, so racing traversals never touch
-/// freed memory. This substitutes for the JVM's garbage collector and is
-/// a deliberate deviation: erased nodes' memory is held until the map
-/// dies. Retired nodes
-/// drop their values immediately (under the node lock), so held
-/// resources are released promptly.
+/// A linked node's value is immutable. An assign to an existing key does
+/// nothing for the same value; otherwise it links a fresh node with the
+/// same levels in the old one's place, top level first (where lookups
+/// take effect), and marks the old one `Replaced` as well as `Marked`:
+/// readers still on it report its value, so the key never reads absent.
+/// Erased and displaced nodes are retired through EpochDomain::global()
+/// — the JVM original relies on its garbage collector — and freed once
+/// no reader can be on them.
+///
+/// **Guard contract** (SingletonCell's): every operation but size() runs
+/// inside an EpochDomain::global() guard; debug builds assert it. Every
+/// plan execution already holds one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,25 +40,28 @@
 #define CRS_CONTAINERS_CONCURRENTSKIPLISTMAP_H
 
 #include "support/Compiler.h"
+#include "sync/Epoch.h"
 
 #include <atomic>
 #include <cstddef>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 namespace crs {
 
-/// Lazy lock-based concurrent skip list map.
+/// Lazy lock-based concurrent skip list map with lock-free reads.
 template <typename K, typename V, typename LessFn>
 class ConcurrentSkipListMap {
   static constexpr int MaxLevel = 16; // levels 0..MaxLevel
 
   struct Node {
     K Key;
-    V Val;
+    V Val; ///< immutable once linked
     std::mutex Lock;
     std::atomic<bool> Marked{false};
+    /// Set before Marked when the node is displaced by an assign rather
+    /// than erased: the key stays present through the replacement.
+    std::atomic<bool> Replaced{false};
     std::atomic<bool> FullyLinked{false};
     int TopLevel;
     std::atomic<Node *> Nexts[MaxLevel + 1];
@@ -76,9 +83,19 @@ class ConcurrentSkipListMap {
   std::atomic<size_t> NumEntries{0};
   LessFn Less;
 
-  // Deferred reclamation of unlinked nodes (no GC in C++).
-  std::mutex RetiredLock;
-  std::vector<Node *> Retired;
+  static void assertGuarded() {
+    assert(EpochDomain::global().inGuard() &&
+           "ConcurrentSkipListMap reads epoch-reclaimed nodes; pin a guard "
+           "first");
+  }
+
+  /// True if a reader on \p N may report its entry: linked, and either
+  /// live or displaced by an assign (see the file comment).
+  static bool readable(const Node *N) {
+    return N->FullyLinked.load(std::memory_order_acquire) &&
+           (!N->Marked.load(std::memory_order_acquire) ||
+            N->Replaced.load(std::memory_order_acquire));
+  }
 
   bool nodeLess(const Node *N, const K &Key) const {
     if (N == Head)
@@ -124,9 +141,75 @@ class ConcurrentSkipListMap {
     return Level > MaxLevel ? MaxLevel : Level;
   }
 
-  void retire(Node *N) {
-    std::lock_guard<std::mutex> Guard(RetiredLock);
-    Retired.push_back(N);
+  /// Unlocks the distinct predecessors at levels 0..\p Top.
+  static void unlockPreds(Node *const *Preds, int Top) {
+    Node *Prev = nullptr;
+    for (int L = 0; L <= Top; ++L)
+      if (Preds[L] != Prev) {
+        Preds[L]->Lock.unlock();
+        Prev = Preds[L];
+      }
+  }
+
+  /// Locks the distinct predecessors at levels 0..\p Top bottom-up,
+  /// checking \p Valid(L) at each level; on a failed check unlocks them
+  /// and returns false.
+  template <typename F>
+  static bool lockPreds(Node *const *Preds, int Top, F Valid) {
+    Node *Prev = nullptr;
+    for (int L = 0; L <= Top; ++L) {
+      if (Preds[L] != Prev) {
+        Preds[L]->Lock.lock();
+        Prev = Preds[L];
+      }
+      if (!Valid(L)) {
+        unlockPreds(Preds, L);
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Unlinks \p Victim (a fully linked node holding \p Key) and retires
+  /// it; given \p Fresh — an unpublished node with the same key and
+  /// levels — links it in the victim's place. Returns false if another
+  /// writer marked the victim first.
+  bool unlink(const K &Key, Node *Victim, Node *Fresh) {
+    Victim->Lock.lock();
+    if (Victim->Marked.load(std::memory_order_relaxed)) {
+      Victim->Lock.unlock();
+      return false;
+    }
+    if (Fresh)
+      Victim->Replaced.store(true, std::memory_order_relaxed);
+    Victim->Marked.store(true, std::memory_order_release);
+    int Top = Victim->TopLevel;
+    Node *Preds[MaxLevel + 1];
+    Node *Succs[MaxLevel + 1];
+    do
+      findNode(Key, Preds, Succs);
+    while (!lockPreds(Preds, Top, [&](int L) {
+      return !Preds[L]->Marked.load(std::memory_order_relaxed) &&
+             Preds[L]->Nexts[L].load(std::memory_order_relaxed) == Victim;
+    }));
+    // The victim's links are frozen: writers next to it validate it
+    // unmarked under its lock.
+    if (Fresh) {
+      for (int L = 0; L <= Top; ++L)
+        Fresh->Nexts[L].store(Victim->Nexts[L].load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
+      Fresh->FullyLinked.store(true, std::memory_order_relaxed);
+    } else {
+      NumEntries.fetch_sub(1, std::memory_order_relaxed);
+    }
+    for (int L = Top; L >= 0; --L)
+      Preds[L]->Nexts[L].store(
+          Fresh ? Fresh : Victim->Nexts[L].load(std::memory_order_relaxed),
+          std::memory_order_release);
+    Victim->Lock.unlock();
+    unlockPreds(Preds, Top);
+    EpochDomain::global().retireObject(Victim);
+    return true;
   }
 
 public:
@@ -140,14 +223,14 @@ public:
   }
 
   ~ConcurrentSkipListMap() {
+    // Destruction implies quiescence; anything already retired is owned
+    // by the epoch domain.
     Node *N = Head;
     while (N) {
       Node *Next = N->Nexts[0].load(std::memory_order_relaxed);
       delete N;
       N = Next;
     }
-    for (Node *R : Retired)
-      delete R;
   }
 
   ConcurrentSkipListMap(const ConcurrentSkipListMap &) = delete;
@@ -155,30 +238,19 @@ public:
 
   /// Linearizable lookup.
   bool lookup(const K &Key, V &Out) const {
+    assertGuarded();
     Node *Preds[MaxLevel + 1];
     Node *Succs[MaxLevel + 1];
     int Found = findNode(Key, Preds, Succs);
-    if (Found == -1)
+    if (Found == -1 || !readable(Succs[Found]))
       return false;
-    Node *N = Succs[Found];
-    if (!N->FullyLinked.load(std::memory_order_acquire))
-      return false;
-    // Read the value under the node lock so a concurrent value update or
-    // removal cannot tear the read; Marked is rechecked under the lock.
-    std::lock_guard<std::mutex> Guard(N->Lock);
-    if (N->Marked.load(std::memory_order_relaxed))
-      return false;
-    Out = N->Val;
+    Out = Succs[Found]->Val;
     return true;
-  }
-
-  bool contains(const K &Key) const {
-    V Ignored;
-    return lookup(Key, Ignored);
   }
 
   /// Linearizable insert-or-replace; returns true if newly inserted.
   bool insertOrAssign(const K &Key, V Val) {
+    assertGuarded();
     int TopLevel = randomLevel();
     Node *Preds[MaxLevel + 1];
     Node *Succs[MaxLevel + 1];
@@ -186,43 +258,28 @@ public:
       int Found = findNode(Key, Preds, Succs);
       if (Found != -1) {
         Node *Existing = Succs[Found];
-        if (!Existing->Marked.load(std::memory_order_acquire)) {
-          // Wait for a concurrent inserter to finish linking.
-          while (!Existing->FullyLinked.load(std::memory_order_acquire)) {
-          }
-          std::lock_guard<std::mutex> Guard(Existing->Lock);
-          if (Existing->Marked.load(std::memory_order_relaxed))
-            continue; // removed under us; retry as a fresh insert
-          Existing->Val = std::move(Val);
+        if (Existing->Marked.load(std::memory_order_acquire))
+          continue; // being erased or displaced: retry
+        // Wait for a concurrent inserter to finish linking.
+        while (!Existing->FullyLinked.load(std::memory_order_acquire)) {
+        }
+        if (Existing->Val == Val)
           return false;
-        }
-        continue; // marked node still linked: retry
-      }
-
-      // Lock all predecessors bottom-up (deduplicated) and validate.
-      Node *LastLocked = nullptr;
-      bool Valid = true;
-      int HighestLocked = -1;
-      for (int L = 0; Valid && L <= TopLevel; ++L) {
-        Node *Pred = Preds[L];
-        if (Pred != LastLocked) {
-          Pred->Lock.lock();
-          LastLocked = Pred;
-          HighestLocked = L;
-        }
-        Valid = !Pred->Marked.load(std::memory_order_relaxed) &&
-                !Succs[L]->Marked.load(std::memory_order_relaxed) &&
-                Pred->Nexts[L].load(std::memory_order_relaxed) == Succs[L];
-      }
-      if (!Valid) {
-        Node *Prev = nullptr;
-        for (int L = 0; L <= HighestLocked; ++L)
-          if (Preds[L] != Prev) {
-            Preds[L]->Lock.unlock();
-            Prev = Preds[L];
-          }
+        Node *Fresh = new Node(Key, std::move(Val), Existing->TopLevel);
+        if (unlink(Key, Existing, Fresh))
+          return false;
+        Val = std::move(Fresh->Val); // lost to another writer: retry
+        delete Fresh;
         continue;
       }
+
+      if (!lockPreds(Preds, TopLevel, [&](int L) {
+            return !Preds[L]->Marked.load(std::memory_order_relaxed) &&
+                   !Succs[L]->Marked.load(std::memory_order_relaxed) &&
+                   Preds[L]->Nexts[L].load(std::memory_order_relaxed) ==
+                       Succs[L];
+          }))
+        continue;
 
       Node *NewNode = new Node(Key, std::move(Val), TopLevel);
       for (int L = 0; L <= TopLevel; ++L)
@@ -231,110 +288,46 @@ public:
         Preds[L]->Nexts[L].store(NewNode, std::memory_order_release);
       NewNode->FullyLinked.store(true, std::memory_order_release);
       NumEntries.fetch_add(1, std::memory_order_relaxed);
-
-      Node *Prev = nullptr;
-      for (int L = 0; L <= HighestLocked; ++L)
-        if (Preds[L] != Prev) {
-          Preds[L]->Lock.unlock();
-          Prev = Preds[L];
-        }
+      unlockPreds(Preds, TopLevel);
       return true;
     }
   }
 
   /// Linearizable removal; returns true if the key was present.
   bool erase(const K &Key) {
-    Node *Victim = nullptr;
-    bool IsMarked = false;
-    int TopLevel = -1;
+    assertGuarded();
     Node *Preds[MaxLevel + 1];
     Node *Succs[MaxLevel + 1];
     while (true) {
       int Found = findNode(Key, Preds, Succs);
-      if (!IsMarked) {
-        if (Found == -1)
-          return false;
-        Victim = Succs[Found];
-        if (!Victim->FullyLinked.load(std::memory_order_acquire) ||
-            Victim->TopLevel != Found ||
-            Victim->Marked.load(std::memory_order_acquire))
-          return false;
-        TopLevel = Victim->TopLevel;
-        Victim->Lock.lock();
-        if (Victim->Marked.load(std::memory_order_relaxed)) {
-          Victim->Lock.unlock();
-          return false;
-        }
-        Victim->Marked.store(true, std::memory_order_release);
-        Victim->Val = V(); // release held resources promptly
-        IsMarked = true;
-      }
-
-      Node *LastLocked = nullptr;
-      bool Valid = true;
-      int HighestLocked = -1;
-      for (int L = 0; Valid && L <= TopLevel; ++L) {
-        Node *Pred = Preds[L];
-        if (Pred != LastLocked) {
-          Pred->Lock.lock();
-          LastLocked = Pred;
-          HighestLocked = L;
-        }
-        Valid = !Pred->Marked.load(std::memory_order_relaxed) &&
-                Pred->Nexts[L].load(std::memory_order_relaxed) == Victim;
-      }
-      if (!Valid) {
-        Node *Prev = nullptr;
-        for (int L = 0; L <= HighestLocked; ++L)
-          if (Preds[L] != Prev) {
-            Preds[L]->Lock.unlock();
-            Prev = Preds[L];
-          }
-        continue;
-      }
-
-      for (int L = TopLevel; L >= 0; --L)
-        Preds[L]->Nexts[L].store(
-            Victim->Nexts[L].load(std::memory_order_relaxed),
-            std::memory_order_release);
-      NumEntries.fetch_sub(1, std::memory_order_relaxed);
-      Victim->Lock.unlock();
-
-      Node *Prev = nullptr;
-      for (int L = 0; L <= HighestLocked; ++L)
-        if (Preds[L] != Prev) {
-          Preds[L]->Lock.unlock();
-          Prev = Preds[L];
-        }
-      const_cast<ConcurrentSkipListMap *>(this)->retire(Victim);
-      return true;
+      if (Found == -1)
+        return false;
+      Node *Victim = Succs[Found];
+      if (!Victim->FullyLinked.load(std::memory_order_acquire) ||
+          Victim->TopLevel != Found)
+        return false;
+      if (unlink(Key, Victim, nullptr))
+        return true;
+      if (!Victim->Replaced.load(std::memory_order_acquire))
+        return false; // erased by another writer
+      // Displaced by an assign: erase its replacement.
     }
   }
 
   /// Weakly consistent sorted scan over level 0: safe in parallel with
-  /// writes; entries inserted or removed during the scan may or may not
-  /// be observed. Visits in ascending key order.
+  /// writes; entries present for the whole scan are visited, entries
+  /// inserted or removed during it may or may not be. Visits in
+  /// ascending key order; the visitor returns false to stop early.
   template <typename Fn> void scan(Fn Visit) const {
-    Node *N = Head->Nexts[0].load(std::memory_order_acquire);
-    while (N != Tail) {
-      Node *Next = N->Nexts[0].load(std::memory_order_acquire);
-      if (N->FullyLinked.load(std::memory_order_acquire) &&
-          !N->Marked.load(std::memory_order_acquire)) {
-        Node *Mutable = const_cast<Node *>(N);
-        std::unique_lock<std::mutex> Guard(Mutable->Lock);
-        if (!N->Marked.load(std::memory_order_relaxed)) {
-          const K &Key = N->Key;
-          const V &Val = N->Val;
-          if (!Visit(Key, Val))
-            return;
-        }
-      }
-      N = Next;
-    }
+    assertGuarded();
+    for (const Node *N = Head->Nexts[0].load(std::memory_order_acquire);
+         N != Tail; N = N->Nexts[0].load(std::memory_order_acquire))
+      if (readable(N) && !Visit(static_cast<const K &>(N->Key),
+                                static_cast<const V &>(N->Val)))
+        return;
   }
 
   size_t size() const { return NumEntries.load(std::memory_order_relaxed); }
-  bool empty() const { return size() == 0; }
 };
 
 } // namespace crs

@@ -394,6 +394,7 @@ static void stepStates(const Decomposition &D, EdgeId E,
                        std::vector<WalkState> &States) {
   const auto &Edge = D.edge(E);
   std::vector<WalkState> Out;
+  EpochDomain::Guard EG; // the concurrent containers' read contract
   for (WalkState &State : States) {
     const NodeInstPtr &Inst = State.Bound[Edge.Src];
     if (!Inst)
@@ -555,6 +556,7 @@ static void forEachInstance(
     const Decomposition &D, const NodeInstPtr &Root,
     const std::function<void(NodeId, const NodeInstance &)> &Visit) {
   std::vector<const NodeInstance *> Seen;
+  EpochDomain::Guard EG; // the concurrent containers' read contract
   std::function<void(NodeId, const NodeInstPtr &)> Walk =
       [&](NodeId N, const NodeInstPtr &Inst) {
         if (std::find(Seen.begin(), Seen.end(), Inst.get()) != Seen.end())

@@ -256,8 +256,11 @@ public:
   /// Epoch-eligible query plans (Plan::EpochEligible: read-only, every
   /// traversed container concurrency-safe) execute under an epoch
   /// guard (sync/Epoch.h) with *zero* physical-lock acquisitions and
-  /// without touching the operation gate — a pure read on warm traffic
-  /// writes no shared cache line at all. The price is the consistency
+  /// without touching the operation gate; the concurrent containers
+  /// read lock-free too. What a pure read still writes to shared cache
+  /// lines is the reference count of every node instance it visits
+  /// (ExecContext::intern pins each one with a shared_ptr copy) and a
+  /// stripe of the query counter. The price is the consistency
   /// class: a fast query is weakly consistent, like iterating a
   /// ConcurrentHashMap — every tuple present for the whole query is
   /// observed, concurrent inserts/removes may or may not be. The

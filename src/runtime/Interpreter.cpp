@@ -120,7 +120,7 @@ static uint32_t stripeIndex(const Tuple &T, ColumnSet Cols, uint32_t Count) {
 /// blocking when \p SpecSite is false (plan statements arrive in the
 /// global order), the §4.5 in-order/try split when true. Inside a
 /// transaction scope the set's MaxKey spans every chained op, so any
-/// site may legitimately fall out of order: LockSet::acquireTxn blocks
+/// site may legitimately fall out of order: LockSet::acquireTxn waits
 /// only in order (and only when the scope's ForceTry discipline
 /// permits), tries otherwise, and a failed try or an upgrade request
 /// surfaces as Restart for the transaction layer's bounded wait-die

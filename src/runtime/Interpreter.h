@@ -94,7 +94,7 @@ public:
   ///    plans — locks are retained to commit (strict 2PL), and pooled
   ///    instances must outlive the locks they own;
   ///  * lock statements acquire through LockSet::acquireTxn — in-order
-  ///    requests block (unless ForceTry), out-of-order requests try and
+  ///    requests wait (unless ForceTry), out-of-order requests try and
   ///    surface WouldBlock as ExecStatus::Restart for the transaction
   ///    layer's bounded wait-die path;
   ///  * MirrorWrite statements append to MirrorBuf instead of replaying

@@ -140,7 +140,9 @@ const Plan *PreparedOpImpl::rebindForUpdateSlow() const {
 // snapshots reclaim through the epoch domain). Queries take the
 // wait-free path first: when fast reads are enabled and the bound plan
 // is epoch-eligible, the whole execution runs under an epoch guard
-// alone — no gate, no physical locks, nothing written shared. The
+// alone — no gate, no physical locks. Its shared writes are the
+// reference counts ExecContext::intern takes on each visited instance
+// and a query-counter stripe. The
 // fallback drops the guard before entering the gate: blocking on a
 // closed gate while pinning an epoch would deadlock the retirement
 // flip's synchronize.

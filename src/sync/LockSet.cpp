@@ -10,6 +10,8 @@
 #include "support/Compiler.h"
 #include "sync/LockOrderValidator.h"
 
+#include <thread>
+
 using namespace crs;
 
 // The per-thread cross-set order validator runs in debug builds only
@@ -107,7 +109,21 @@ TxnAcquire LockSet::acquireTxn(PhysicalLock &Lock, const LockOrderKey &Key,
     return TxnAcquire::Upgrade;
   }
   if (MayBlock && inOrder(Key)) {
-    acquire(Lock, Key, Mode);
+    // Wait by repeating the try, not by blocking in the mutex, so the
+    // wait can end as wait-die says: an older holder kills this scope
+    // (WouldBlock with its stamp). Transaction.h, "Deadlock freedom",
+    // has the livelock a blocked waiter caused.
+#if CRS_VALIDATE_LOCK_ORDER
+    assert(!LockOrderValidator::wouldViolate(this, orderDomain(), Key) &&
+           "waiting acquisition violates the cross-set (chained-op / "
+           "cross-shard / source-before-target) lock order");
+#endif
+    while (tryAcquire(Lock, Key, Mode) != AcquireResult::Ok) {
+      if (LastConflict != 0 && LastConflict < BirthStamp)
+        return TxnAcquire::WouldBlock;
+      LastConflict = 0;
+      std::this_thread::yield();
+    }
     return TxnAcquire::Ok;
   }
   return tryAcquire(Lock, Key, Mode) == AcquireResult::Ok

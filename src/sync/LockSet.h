@@ -85,11 +85,14 @@ public:
 
   /// Transaction-scope acquisition: across chained operations the set's
   /// MaxKey reflects the *whole scope*, so a later op's locks may fall
-  /// below it. In-order requests block (when \p MayBlock); out-of-order
-  /// requests go through the try path, and a failure surfaces as
-  /// WouldBlock for the caller's bounded wait-die abort path — no
-  /// acquisition ever blocks out of order, so the waits-for graph of
-  /// blocking edges stays acyclic across transaction scopes. A request
+  /// below it. In-order requests wait (when \p MayBlock) by repeating
+  /// the try, and only behind a holder no older than this scope: an
+  /// older holder makes it WouldBlock at once (wait-die). Out-of-order
+  /// requests try once, and a failure surfaces as WouldBlock for the
+  /// caller's bounded wait-die abort path — no acquisition ever waits
+  /// out of order, so the waits-for graph stays acyclic across
+  /// transaction scopes, and no waiter is stuck in a mutex it cannot
+  /// leave when the scope it waits behind must die instead. A request
   /// to escalate a held shared lock reports Upgrade (a shared_mutex
   /// cannot upgrade atomically; the transaction layer avoids this by
   /// locking reads exclusively, and treats Upgrade as an abort).

@@ -25,17 +25,10 @@ struct MvccStore::Version {
   std::atomic<Version *> Next{nullptr};
 };
 
-/// A node of a growable table: one list link per head-array generation
-/// (the file comment's Growth paragraph). Written under the owning
-/// table's stripe, read lock-free under the epoch guard.
-struct MvccStore::Node {
-  std::atomic<Node *> Next[2] = {nullptr, nullptr};
-};
-
 /// One tuple identity's chain. Head is the newest version; the chain
 /// node itself lives on the primary table and reclaims (epoch-deferred)
 /// once every version is gone.
-struct MvccStore::Chain : Node {
+struct MvccStore::Chain : GrowableHashLinks<Chain> {
   Tuple Key;
   std::atomic<Version *> Head{nullptr};
 };
@@ -43,198 +36,15 @@ struct MvccStore::Chain : Node {
 /// One secondary-directory entry: a chain reachable by its projected
 /// sub-key (π_dir-cols of the chain key, recomputed rather than stored).
 /// Lives on its directory's table; retired with its chain.
-struct MvccStore::DirLink : Node {
+struct MvccStore::DirLink : GrowableHashLinks<DirLink> {
   Chain *C = nullptr;
-};
-
-/// A hash table of intrusive nodes that doubles as it fills: the
-/// primary directory and every secondary directory. Readers walk the
-/// current head array lock-free under an epoch guard; writers hold the
-/// stripe covering the node's hash. Bucket counts are powers of two no
-/// smaller than the stripe count, so stripe H % NumStripes covers
-/// bucket H & Mask in every generation of the array.
-class MvccStore::Table {
-public:
-  static constexpr size_t NumStripes = 64;
-
-  /// One generation of list heads.
-  struct Heads {
-    size_t Mask;  ///< bucket count − 1
-    unsigned Gen; ///< the Node::Next slot this array's lists use
-    std::unique_ptr<std::atomic<Node *>[]> H;
-    Heads(size_t Buckets, unsigned Gen)
-        : Mask(Buckets - 1), Gen(Gen), H(new std::atomic<Node *>[Buckets]()) {}
-  };
-
-  /// A table with about two entries per bucket at \p Entries entries.
-  explicit Table(size_t Entries) {
-    size_t N = NumStripes;
-    while (N * 2 < Entries)
-      N *= 2;
-    Cur.store(new Heads(N, 0), std::memory_order_relaxed);
-    NumBuckets.store(N, std::memory_order_relaxed);
-  }
-  ~Table() { delete Cur.load(std::memory_order_relaxed); }
-
-  /// The current head array. Readers load it inside an epoch guard;
-  /// writers under any stripe.
-  const Heads &heads() const { return *Cur.load(std::memory_order_acquire); }
-  static Node *first(const Heads &A, uint64_t H) {
-    return A.H[H & A.Mask].load(std::memory_order_acquire);
-  }
-  static Node *next(const Heads &A, const Node *N) {
-    return N->Next[A.Gen].load(std::memory_order_acquire);
-  }
-
-  std::mutex &stripe(uint64_t H) { return Stripes[H % NumStripes].M; }
-
-  /// Links \p N at the head of bucket \p H; call with stripe(H) held.
-  /// Returns true when the stripe's entries average more than two per
-  /// bucket, i.e. the table should double (grow, once the stripe is
-  /// released).
-  bool push(Node *N, uint64_t H) {
-    const Heads &A = heads();
-    std::atomic<Node *> &Slot = A.H[H & A.Mask];
-    N->Next[A.Gen].store(Slot.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    Slot.store(N, std::memory_order_release);
-    Stripe &S = Stripes[H % NumStripes];
-    size_t Count = S.Count.load(std::memory_order_relaxed) + 1;
-    S.Count.store(Count, std::memory_order_relaxed);
-    return overloaded(Count, A.Mask + 1);
-  }
-
-  /// Unlinks the first node of bucket \p H that \p Match accepts and
-  /// returns it (null if none); call with stripe(H) held. Readers
-  /// mid-walk keep following the node's intact links until their guard
-  /// exits; the caller retires it.
-  template <typename F> Node *unlinkIf(uint64_t H, F Match) {
-    const Heads &A = heads();
-    std::atomic<Node *> *Link = &A.H[H & A.Mask];
-    for (Node *N = Link->load(std::memory_order_relaxed); N;
-         N = Link->load(std::memory_order_relaxed)) {
-      if (Match(N)) {
-        Link->store(N->Next[A.Gen].load(std::memory_order_relaxed),
-                    std::memory_order_release);
-        Stripe &S = Stripes[H % NumStripes];
-        S.Count.store(S.Count.load(std::memory_order_relaxed) - 1,
-                      std::memory_order_relaxed);
-        return N;
-      }
-      Link = &N->Next[A.Gen];
-    }
-    return nullptr;
-  }
-
-  /// Calls \p Fn on every node, reading each node's link before the
-  /// call (\p Fn may free the node it is given when the table is dying).
-  /// Readers call it inside an epoch guard.
-  template <typename F> void forEach(F Fn) const {
-    const Heads &A = heads();
-    for (size_t B = 0; B <= A.Mask; ++B)
-      for (Node *N = A.H[B].load(std::memory_order_acquire); N;) {
-        Node *Next = next(A, N);
-        Fn(N);
-        N = Next;
-      }
-  }
-
-  /// Calls \p Fn on every node of stripe \p S; call with that stripe
-  /// held (\p Fn may unlink the node it is given).
-  template <typename F> void forEachInStripe(size_t S, F Fn) {
-    const Heads &A = heads();
-    std::vector<Node *> Nodes;
-    for (size_t B = S; B <= A.Mask; B += NumStripes)
-      for (Node *N = A.H[B].load(std::memory_order_relaxed); N;
-           N = N->Next[A.Gen].load(std::memory_order_relaxed))
-        Nodes.push_back(N);
-    for (Node *N : Nodes)
-      Fn(N);
-  }
-
-  /// Doubles the table if a stripe is still overloaded, re-linking every
-  /// node (rehashed by \p HashOf) into a new array through its spare
-  /// link. Call with no stripe held. Returns the new bucket count, or 0
-  /// when it did not grow: not overloaded, another writer is growing,
-  /// or the last retired array may still have readers on the link this
-  /// doubling would rewrite (a later write retries).
-  template <typename F> size_t grow(F HashOf, size_t &Moved) {
-    std::unique_lock<std::mutex> RG(ResizeM, std::try_to_lock);
-    if (!RG.owns_lock())
-      return 0;
-    EpochDomain &ED = EpochDomain::global();
-    if (ED.epoch() < ReuseEpoch) {
-      ED.tryAdvance();
-      if (ED.epoch() < ReuseEpoch)
-        return 0;
-    }
-    for (Stripe &S : Stripes)
-      S.M.lock();
-    Heads *Old = Cur.load(std::memory_order_relaxed);
-    size_t N = Old->Mask + 1;
-    Heads *New = nullptr;
-    Moved = 0;
-    bool Over = false;
-    for (const Stripe &S : Stripes)
-      Over |= overloaded(S.Count.load(std::memory_order_relaxed), N);
-    if (Over) {
-      New = new Heads(2 * N, Old->Gen ^ 1);
-      for (size_t B = 0; B < N; ++B)
-        for (Node *X = Old->H[B].load(std::memory_order_relaxed); X;
-             X = X->Next[Old->Gen].load(std::memory_order_relaxed)) {
-          std::atomic<Node *> &Slot = New->H[HashOf(X) & New->Mask];
-          X->Next[New->Gen].store(Slot.load(std::memory_order_relaxed),
-                                  std::memory_order_relaxed);
-          Slot.store(X, std::memory_order_relaxed);
-          ++Moved;
-        }
-      // Unpublish the old array (seq_cst, per the epoch contract).
-      Cur.store(New, std::memory_order_seq_cst);
-      NumBuckets.store(2 * N, std::memory_order_relaxed);
-    }
-    for (Stripe &S : Stripes)
-      S.M.unlock();
-    if (!New)
-      return 0;
-    ED.retireObject(Old);
-    // Stamped after the retire: once the epoch reaches it, the retiree's
-    // grace period has elapsed and no reader follows Old->Gen links.
-    ReuseEpoch = ED.epoch() + 2;
-    return 2 * N;
-  }
-
-  size_t buckets() const { return NumBuckets.load(std::memory_order_relaxed); }
-  size_t entries() const {
-    size_t N = 0;
-    for (const Stripe &S : Stripes)
-      N += S.Count.load(std::memory_order_relaxed);
-    return N;
-  }
-
-private:
-  struct alignas(64) Stripe {
-    std::mutex M;
-    std::atomic<size_t> Count{0}; ///< entries hashed here; written under M
-  };
-
-  /// More than two entries per bucket over the stripe's share of the
-  /// table's \p Buckets.
-  static bool overloaded(size_t Count, size_t Buckets) {
-    return Count > 2 * (Buckets / NumStripes);
-  }
-
-  std::atomic<Heads *> Cur{nullptr};
-  std::atomic<size_t> NumBuckets{0};
-  Stripe Stripes[NumStripes];
-  std::mutex ResizeM;      ///< one doubling at a time
-  uint64_t ReuseEpoch = 0; ///< guarded by ResizeM
 };
 
 /// One secondary directory: sub-key → chains, over a proper nonempty
 /// subset of the identity columns. Registered on a grow-only list.
 struct MvccStore::Directory {
   ColumnSet Cols;
-  Table Links;
+  GrowableHashTable<DirLink> Links;
   /// Readers route through the directory only once the backfill has
   /// walked every primary stripe (before that, a lookup could miss
   /// pre-existing chains). Installs/unlinks honor it immediately.
@@ -248,7 +58,10 @@ struct MvccStore::Directory {
   }
   /// Frees every link (not the chains) and the directory.
   static void destroy(Directory *D) {
-    D->Links.forEach([](Node *N) { delete static_cast<DirLink *>(N); });
+    D->Links.forEach([](DirLink *L) {
+      delete L;
+      return true;
+    });
     delete D;
   }
 };
@@ -257,15 +70,14 @@ MvccStore::MvccStore(const RelationSpec &Spec, size_t ExpectedCardinality) {
   AllCols = Spec.allColumns();
   std::vector<ColumnSet> Keys = Spec.minimalKeys();
   KeyCols = Keys.empty() ? AllCols : Keys.front();
-  Primary = std::make_unique<Table>(ExpectedCardinality);
+  Primary = std::make_unique<GrowableHashTable<Chain>>(ExpectedCardinality);
 }
 
 MvccStore::~MvccStore() {
   // The relation is dying: no reader can hold a guard over our nodes
   // legitimately (stores must outlive every scope that reads them —
   // same contract as the relation itself). Free directly.
-  Primary->forEach([](Node *N) {
-    Chain *C = static_cast<Chain *>(N);
+  Primary->forEach([](Chain *C) {
     Version *V = C->Head.load(std::memory_order_relaxed);
     while (V) {
       Version *VN = V->Next.load(std::memory_order_relaxed);
@@ -273,6 +85,7 @@ MvccStore::~MvccStore() {
       V = VN;
     }
     delete C;
+    return true;
   });
   Directory *D = Dirs.load(std::memory_order_relaxed);
   while (D) {
@@ -283,11 +96,7 @@ MvccStore::~MvccStore() {
 }
 
 MvccStore::Chain *MvccStore::findChain(const Tuple &Key, uint64_t H) const {
-  const Table::Heads &A = Primary->heads();
-  for (Node *N = Table::first(A, H); N; N = Table::next(A, N))
-    if (static_cast<Chain *>(N)->Key == Key)
-      return static_cast<Chain *>(N);
-  return nullptr;
+  return Primary->find(H, [&](const Chain *C) { return C->Key == Key; });
 }
 
 MvccStore::Chain *MvccStore::findOrCreateChain(const Tuple &Key, uint64_t H,
@@ -322,10 +131,8 @@ void MvccStore::linkChainToDir(Directory &D, Chain *C) {
   bool Grow;
   {
     std::lock_guard<std::mutex> G(D.Links.stripe(H));
-    const Table::Heads &A = D.Links.heads();
-    for (Node *N = Table::first(A, H); N; N = Table::next(A, N))
-      if (static_cast<DirLink *>(N)->C == C)
-        return; // already linked (install raced the backfill)
+    if (D.Links.find(H, [&](const DirLink *L) { return L->C == C; }))
+      return; // already linked (install raced the backfill)
     DirLink *L = new DirLink;
     L->C = C;
     Grow = D.Links.push(L, H);
@@ -334,12 +141,10 @@ void MvccStore::linkChainToDir(Directory &D, Chain *C) {
   // after a primary stripe, never before one, so taking all of them
   // here keeps the order.
   if (Grow)
-    grow(D.Links, D.Cols, [&](const Node *X) {
-      return D.hashOf(static_cast<const DirLink *>(X)->C);
-    });
+    grow(D.Links, D.Cols, [&](const DirLink *L) { return D.hashOf(L->C); });
 }
 
-template <typename F>
+template <typename Table, typename F>
 void MvccStore::grow(Table &T, ColumnSet Cols, F HashOf) {
   size_t Moved;
   size_t Buckets = T.grow(HashOf, Moved);
@@ -373,9 +178,7 @@ void MvccStore::installInsert(const Tuple &Full, uint64_t Seq) {
                       std::memory_order_relaxed);
   }
   if (Grow)
-    grow(*Primary, ColumnSet(), [](const Node *X) {
-      return static_cast<const Chain *>(X)->Key.hash();
-    });
+    grow(*Primary, ColumnSet(), [](const Chain *X) { return X->Key.hash(); });
 }
 
 void MvccStore::installRemove(const Tuple &Full, uint64_t Seq) {
@@ -449,34 +252,32 @@ MvccStore::snapshotQuery(const Tuple &S, uint64_t Snap,
   if (S.domain().containsAll(KeyCols)) {
     // Point read: the primary directory resolves the one chain.
     Tuple Key = S.project(KeyCols);
-    const Table::Heads &A = Primary->heads();
-    for (Node *X = Table::first(A, Key.hash()); X; X = Table::next(A, X)) {
-      ++Local.LinksScanned;
-      if (static_cast<Chain *>(X)->Key == Key) {
-        VisitChain(static_cast<Chain *>(X));
-        break;
-      }
-    }
+    if (const Chain *C = Primary->find(Key.hash(), [&](const Chain *X) {
+          ++Local.LinksScanned;
+          return X->Key == Key;
+        }))
+      VisitChain(C);
   } else if (const Directory *D = directoryFor(S.domain())) {
     // Directory-served: only the chains extending the projected
     // sub-key, O(matching chains) + the bucket list walked.
     Local.DirectoryServed = true;
     Tuple Sub = S.project(D->Cols);
-    const Table::Heads &A = D->Links.heads();
-    for (Node *X = Table::first(A, Sub.hash()); X; X = Table::next(A, X)) {
+    const auto &A = D->Links.heads();
+    for (const DirLink *L = D->Links.first(A, Sub.hash()); L;
+         L = D->Links.next(A, L)) {
       ++Local.LinksScanned;
-      const Chain *C = static_cast<DirLink *>(X)->C;
-      if (C->Key.extends(Sub))
-        VisitChain(C);
+      if (L->C->Key.extends(Sub))
+        VisitChain(L->C);
     }
   } else {
     // No access path: the documented whole-store fallback. Callers
     // (Transaction::query) use the FullScan report to request a
     // directory for next time.
     Local.FullScan = true;
-    Primary->forEach([&](Node *X) {
+    Primary->forEach([&](const Chain *C) {
       ++Local.LinksScanned;
-      VisitChain(static_cast<Chain *>(X));
+      VisitChain(C);
+      return true;
     });
   }
   if (Stats)
@@ -514,10 +315,10 @@ bool MvccStore::ensureDirectory(ColumnSet QueryCols) {
     Dirs.store(D, std::memory_order_release);
   }
   uint64_t Linked = 0;
-  for (size_t S = 0; S < Table::NumStripes; ++S) {
+  for (size_t S = 0; S < GrowableHashTable<Chain>::NumStripes; ++S) {
     std::lock_guard<std::mutex> G(Primary->stripe(S));
-    Primary->forEachInStripe(S, [&](Node *X) {
-      linkChainToDir(*D, static_cast<Chain *>(X));
+    Primary->forEachInStripe(S, [&](Chain *C) {
+      linkChainToDir(*D, C);
       ++Linked;
     });
   }
@@ -583,11 +384,10 @@ MvccStore::retireStaleDirectories(function_ref<bool(ColumnSet)> StillServed) {
 size_t MvccStore::maxBucketChainLength() const {
   EpochDomain::Guard G;
   size_t Max = 0;
-  const Table::Heads &A = Primary->heads();
+  const auto &A = Primary->heads();
   for (size_t B = 0; B <= A.Mask; ++B) {
     size_t Len = 0;
-    for (Node *X = A.H[B].load(std::memory_order_acquire); X;
-         X = Table::next(A, X))
+    for (const Chain *X = Primary->first(A, B); X; X = Primary->next(A, X))
       ++Len;
     Max = Len > Max ? Len : Max;
   }
@@ -618,7 +418,7 @@ size_t MvccStore::pruneChainLocked(Chain *C, uint64_t Watermark) {
   if (C->Head.load(std::memory_order_relaxed))
     return Freed;
   // Chain emptied: unlink it from the primary too.
-  Primary->unlinkIf(C->Key.hash(), [&](const Node *X) { return X == C; });
+  Primary->unlinkIf(C->Key.hash(), [&](const Chain *X) { return X == C; });
   // Drop the chain's directory links first. Reading the registry here
   // (still under the primary stripe) observes every directory any
   // earlier linker under this stripe saw — read-read coherence through
@@ -630,10 +430,9 @@ size_t MvccStore::pruneChainLocked(Chain *C, uint64_t Watermark) {
        Dir = Dir->Next.load(std::memory_order_acquire)) {
     uint64_t H = Dir->hashOf(C);
     std::lock_guard<std::mutex> DG(Dir->Links.stripe(H));
-    if (Node *L = Dir->Links.unlinkIf(H, [&](const Node *X) {
-          return static_cast<const DirLink *>(X)->C == C;
-        }))
-      D.retireObject(static_cast<DirLink *>(L));
+    if (DirLink *L = Dir->Links.unlinkIf(
+            H, [&](const DirLink *X) { return X->C == C; }))
+      D.retireObject(L);
   }
   D.retireObject(C);
   return Freed;
@@ -641,12 +440,12 @@ size_t MvccStore::pruneChainLocked(Chain *C, uint64_t Watermark) {
 
 size_t MvccStore::prune(uint64_t Watermark) {
   size_t Freed = 0;
-  for (size_t S = 0; S < Table::NumStripes; ++S) {
+  for (size_t S = 0; S < GrowableHashTable<Chain>::NumStripes; ++S) {
     std::lock_guard<std::mutex> G(Primary->stripe(S));
     // forEachInStripe snapshots the stripe's chains first:
     // pruneChainLocked may unlink the chain under our feet.
-    Primary->forEachInStripe(S, [&](Node *X) {
-      Freed += pruneChainLocked(static_cast<Chain *>(X), Watermark);
+    Primary->forEachInStripe(S, [&](Chain *C) {
+      Freed += pruneChainLocked(C, Watermark);
     });
   }
   Retired.fetch_add(Freed, std::memory_order_relaxed);

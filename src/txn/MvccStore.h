@@ -43,20 +43,14 @@
 /// (in-flight registry), so the visibility verdict is unchanged.
 ///
 /// **Growth.** The primary directory and every secondary directory are
-/// one kind of table: a power-of-two array of 8-byte list heads that
-/// doubles whenever its entries average more than two per bucket, so a
-/// bucket list stays short however large the relation grows. A
-/// doubling is the resizable hash table of perfbook §10.4: every node
-/// carries two list links, one per head-array generation, so the
-/// resize re-links each node into the new array through the spare link
-/// while readers that loaded the old array keep walking intact lists.
-/// The resize holds every lock stripe of its table (writers wait; they
-/// never see a half-built array), publishes the new array, and retires
-/// the old one through the epoch domain. The next doubling waits for
-/// that grace period to elapse, since it rewrites the link the old
-/// array's readers follow; installs run inside epoch guards, so the
-/// wait is deferred to a later write rather than a blocking
-/// synchronize(). Tables never shrink.
+/// a GrowableHashTable (containers/GrowableHashTable.h), the table
+/// ConcurrentHashMap is built on too: it doubles whenever its entries
+/// average more than two per bucket, so a bucket list stays short
+/// however large the relation grows, and readers that loaded the old
+/// head array keep walking intact lists (perfbook §10.4). A doubling's
+/// grace-period wait is deferred to a later install rather than a
+/// blocking synchronize(), since installs run inside epoch guards.
+/// Tables never shrink.
 ///
 /// **Reclamation** is bounded by the minimum active snapshot: prune()
 /// unlinks every version with 0 < End ≤ watermark (invisible to every
@@ -100,6 +94,7 @@
 #ifndef CRS_TXN_MVCCSTORE_H
 #define CRS_TXN_MVCCSTORE_H
 
+#include "containers/GrowableHashTable.h"
 #include "obs/EventRing.h"
 #include "rel/RelationSpec.h"
 #include "rel/Tuple.h"
@@ -255,11 +250,9 @@ public:
 
 private:
   struct Version;
-  struct Node;
   struct Chain;
   struct DirLink;
   struct Directory;
-  class Table;
 
   /// Finds \p Key's chain (hash \p H) in the primary (lock-free walk),
   /// or null.
@@ -280,11 +273,13 @@ private:
   /// Doubles \p T (the table over \p Cols; empty for the primary) if it
   /// is still overloaded, rehashing its nodes with \p HashOf, and counts
   /// and traces the doubling. Call with no stripe of \p T held.
-  template <typename F> void grow(Table &T, ColumnSet Cols, F HashOf);
+  template <typename Table, typename F>
+  void grow(Table &T, ColumnSet Cols, F HashOf);
 
   ColumnSet KeyCols;
   ColumnSet AllCols;
-  std::unique_ptr<Table> Primary; ///< chains by identity hash
+  /// Chains by identity hash.
+  std::unique_ptr<GrowableHashTable<Chain>> Primary;
   std::atomic<uint64_t> Installed{0};
   std::atomic<uint64_t> Retired{0};
   std::atomic<uint64_t> RemoveNoops{0};

@@ -53,17 +53,22 @@
 /// **Deadlock freedom.** Within one op the planner emits locks in the
 /// global order (§5.1). Across chained ops the scope's high-water key
 /// can exceed a later op's keys, so the executor splits acquisitions:
-/// in-order requests block (safe: a blocking wait is always at or above
+/// in-order requests wait (safe: such a wait is always at or above
 /// everything the scope holds), out-of-order requests go through the
 /// try path and a failure restarts the op — after a bounded number of
 /// failed tries the transaction *dies* (aborts, rolls back, reports
 /// Conflict) rather than ever waiting out of order. This is a bounded
-/// wait-die discipline: blocking edges respect a total order (acyclic),
+/// wait-die discipline: waiting edges respect a total order (acyclic),
 /// try edges never wait, so no cycle can form; fairness comes from
 /// aging — runTransaction retries a died scope with growing patience,
-/// so old logical transactions eventually outlast young ones. The
+/// so old logical transactions eventually outlast young ones. An
+/// in-order wait repeats the try rather than blocking in the mutex,
+/// and a scope that finds an older scope holding the lock dies at once:
+/// a younger scope blocked in the mutex could not be aborted, and an
+/// older one spinning out of order on a lock it held died and retook
+/// its locks, over and over, faster than the blocked thread woke. The
 /// debug-build sync/LockOrderValidator asserts the cross-op and
-/// cross-shard discipline on every blocking acquisition.
+/// cross-shard discipline on every waiting acquisition.
 ///
 /// **Rollback.** Every committed mutation in the scope appends an undo
 /// record (operation kind + full tuple); abort replays *inverse
@@ -121,6 +126,8 @@
 #include "runtime/ShardedRelation.h"
 #include "txn/MvccStore.h"
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -454,9 +461,18 @@ bool runTransaction(RelT &Rel, BodyFn &&Body, unsigned MaxAttempts = 0) {
       return true;
     if (Txn.abortCause() == TxnAbortCause::User)
       return false;
-    // Back off a little harder each round before re-contending.
-    for (unsigned Y = 0; Y <= Attempt && Y < 64; ++Y)
-      std::this_thread::yield();
+    // Back off a little harder each round before re-contending: yields
+    // while retries are few, then sleeps that grow with the attempt, so
+    // a bound on attempts also spans time. A scope killed again and
+    // again by an older holder that stalled (descheduled, or waiting on
+    // a log flush) then outlasts the stall rather than spending every
+    // attempt inside it.
+    if (Attempt < 64)
+      for (unsigned Y = 0; Y <= Attempt; ++Y)
+        std::this_thread::yield();
+    else
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(std::min(Attempt - 63, 1000u)));
   }
   return false;
 }

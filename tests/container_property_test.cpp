@@ -9,12 +9,14 @@
 /// AnyContainer interface the runtime uses: map semantics against a
 /// model, scan ordering promised by the traits, idempotence properties,
 /// and churn behaviour. One parameterized suite, instantiated per kind.
+/// Operations run inside epoch guards, the concurrent kinds' contract.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "runtime/AnyContainer.h"
 #include "runtime/NodeInstance.h"
 #include "support/Rng.h"
+#include "sync/Epoch.h"
 
 #include <gtest/gtest.h>
 
@@ -44,6 +46,7 @@ TEST_P(ContainerProperty, AgreesWithModelUnderRandomOps) {
   Xoshiro256 Rng(0xC0FFEE ^ static_cast<uint64_t>(GetParam()));
 
   for (int Step = 0; Step < 2500; ++Step) {
+    EpochDomain::Guard G;
     int64_t K = static_cast<int64_t>(Rng.nextBounded(48));
     switch (Rng.nextBounded(4)) {
     case 0: {
@@ -88,6 +91,7 @@ TEST_P(ContainerProperty, AgreesWithModelUnderRandomOps) {
 
 TEST_P(ContainerProperty, ScanOrderMatchesTraits) {
   std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam());
+  EpochDomain::Guard G;
   Xoshiro256 Rng(77);
   for (int I = 0; I < 300; ++I)
     C->insertOrAssign(keyOf(static_cast<int64_t>(Rng.nextBounded(100000))),
@@ -110,6 +114,7 @@ TEST_P(ContainerProperty, ScanOrderMatchesTraits) {
 
 TEST_P(ContainerProperty, EraseToEmptyAndReuse) {
   std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam());
+  EpochDomain::Guard G;
   for (int Round = 0; Round < 5; ++Round) {
     for (int64_t K = 0; K < 64; ++K)
       ASSERT_TRUE(C->insertOrAssign(keyOf(K),
@@ -125,21 +130,29 @@ TEST_P(ContainerProperty, EraseToEmptyAndReuse) {
 
 TEST_P(ContainerProperty, ValuesKeepOwnersAlive) {
   // The runtime relies on containers holding shared ownership: an
-  // instance reachable through an entry must not die.
+  // instance reachable through an entry must not die. Once erased, it
+  // dies within a grace period (the concurrent kinds retire the entry
+  // through the epoch domain; the others free it at once).
   std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam());
   std::weak_ptr<NodeInstance> Weak;
   {
+    EpochDomain::Guard G;
     NodeInstPtr V = std::make_shared<NodeInstance>();
     Weak = V;
     C->insertOrAssign(keyOf(7), std::move(V));
   }
   EXPECT_FALSE(Weak.expired());
-  C->erase(keyOf(7));
+  {
+    EpochDomain::Guard G;
+    C->erase(keyOf(7));
+  }
+  EpochDomain::global().synchronize();
   EXPECT_TRUE(Weak.expired());
 }
 
 TEST_P(ContainerProperty, EarlyStopVisitsPrefixOnly) {
   std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam());
+  EpochDomain::Guard G;
   for (int64_t K = 0; K < 100; ++K)
     C->insertOrAssign(keyOf(K), std::make_shared<NodeInstance>());
   int Visits = 0;

@@ -9,7 +9,9 @@
 /// correctness of each from-scratch container (against std::map as the
 /// model), structural invariants (AVL balance), taxonomy traits, and
 /// concurrent stress for the concurrency-safe containers (linearizable
-/// lookup/write, weakly-consistent or snapshot scans).
+/// lookup/write, weakly-consistent or snapshot scans), growth under
+/// readers, and reclamation of erased entries. The concurrent maps are
+/// used inside epoch guards, their contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,7 @@
 #include "containers/SingletonCell.h"
 #include "containers/TreeMap.h"
 #include "runtime/AnyContainer.h"
+#include "StressHarness.h"
 #include "runtime/NodeInstance.h"
 #include "support/Hashing.h"
 #include "support/Rng.h"
@@ -54,6 +57,7 @@ template <typename Map> void runModelCheck(Map &M, uint64_t Seed,
   std::map<int64_t, int64_t> Model;
   Xoshiro256 Rng(Seed);
   for (int I = 0; I < Steps; ++I) {
+    EpochDomain::Guard G;
     int64_t K = static_cast<int64_t>(Rng.nextBounded(KeyRange));
     int64_t V = static_cast<int64_t>(Rng.nextBounded(1000));
     switch (Rng.nextBounded(4)) {
@@ -143,12 +147,13 @@ TEST(TreeMapModel, ScanEarlyStop) {
 }
 
 TEST(ConcurrentHashMapModel, RandomOps) {
-  ConcurrentHashMap<int64_t, int64_t, IntHash> M(16);
+  ConcurrentHashMap<int64_t, int64_t, IntHash> M;
   runModelCheck(M, 14, 4000, 64);
 }
 
 TEST(ConcurrentHashMapModel, InsertIfAbsent) {
   ConcurrentHashMap<int64_t, int64_t, IntHash> M;
+  EpochDomain::Guard G;
   EXPECT_TRUE(M.insertIfAbsent(1, 10));
   EXPECT_FALSE(M.insertIfAbsent(1, 20));
   int64_t V = -1;
@@ -163,6 +168,7 @@ TEST(ConcurrentSkipListModel, RandomOps) {
 
 TEST(ConcurrentSkipListModel, SortedScan) {
   ConcurrentSkipListMap<int64_t, int64_t, IntLess> M;
+  EpochDomain::Guard G;
   Xoshiro256 Rng(16);
   for (int I = 0; I < 1000; ++I)
     M.insertOrAssign(static_cast<int64_t>(Rng.nextBounded(10000)), I);
@@ -255,10 +261,14 @@ template <typename Map> void runConcurrentStress(Map &M) {
   for (int W = 0; W < NumWriters; ++W) {
     Threads.emplace_back([&M, W] {
       int64_t Base = W * PerWriter;
-      for (int64_t I = 0; I < PerWriter; ++I)
+      for (int64_t I = 0; I < PerWriter; ++I) {
+        EpochDomain::Guard G;
         M.insertOrAssign(Base + I, W);
-      for (int64_t I = 0; I < PerWriter; I += 2)
+      }
+      for (int64_t I = 0; I < PerWriter; I += 2) {
+        EpochDomain::Guard G;
         M.erase(Base + I);
+      }
     });
   }
   // Concurrent readers: scans and lookups must be safe (weakly
@@ -266,6 +276,7 @@ template <typename Map> void runConcurrentStress(Map &M) {
   std::atomic<bool> Stop{false};
   std::thread Reader([&] {
     while (!Stop.load(std::memory_order_acquire)) {
+      EpochDomain::Guard G;
       size_t Seen = 0;
       M.scan([&](const int64_t &, const int64_t &) {
         ++Seen;
@@ -282,6 +293,7 @@ template <typename Map> void runConcurrentStress(Map &M) {
 
   size_t Expected = NumWriters * (PerWriter / 2);
   EXPECT_EQ(M.size(), Expected);
+  EpochDomain::Guard G;
   for (int W = 0; W < NumWriters; ++W)
     for (int64_t I = 0; I < PerWriter; ++I) {
       int64_t Out = -1;
@@ -352,14 +364,151 @@ TEST(ConcurrentHashMapStress, PutIfAbsentUniqueWinner) {
   std::vector<std::thread> Threads;
   for (int T = 0; T < NumThreads; ++T)
     Threads.emplace_back([&M, &Wins, T] {
-      for (int64_t K = 0; K < 200; ++K)
+      for (int64_t K = 0; K < 200; ++K) {
+        EpochDomain::Guard G;
         if (M.insertIfAbsent(K, T))
           Wins.fetch_add(1, std::memory_order_relaxed);
+      }
     });
   for (auto &T : Threads)
     T.join();
   EXPECT_EQ(Wins.load(), 200);
   EXPECT_EQ(M.size(), 200u);
+}
+
+TEST(ConcurrentHashMapStress, GrowsUnderGuardedReaders) {
+  // Writers grow the table from its minimum size through several
+  // doublings while guarded readers look up and scan a stable key set:
+  // a doubling must never hide a key from a reader on either head array.
+  ConcurrentHashMap<int64_t, int64_t, IntHash> M;
+  const size_t MinBuckets = M.buckets();
+  constexpr int64_t Stable = 256;
+  for (int64_t K = 0; K < Stable; ++K) {
+    EpochDomain::Guard G;
+    M.insertOrAssign(-1 - K, K);
+  }
+  constexpr int NumWriters = 4;
+  const int64_t PerWriter = 50000 * int64_t(stress::opsMultiplier());
+  std::atomic<int> WritersLeft{NumWriters};
+  std::atomic<uint64_t> Misses{0}, Passes{0};
+  std::vector<std::thread> Threads;
+  for (int R = 0; R < 2; ++R)
+    Threads.emplace_back([&] {
+      while (WritersLeft.load(std::memory_order_acquire) > 0) {
+        {
+          EpochDomain::Guard G;
+          for (int64_t K = 0; K < Stable; ++K) {
+            int64_t Out = -1;
+            if (!M.lookup(-1 - K, Out) || Out != K)
+              Misses.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        EpochDomain::Guard G;
+        int64_t Seen = 0;
+        M.scan([&](const int64_t &Key, const int64_t &) {
+          Seen += Key < 0;
+          return true;
+        });
+        if (Seen != Stable)
+          Misses.fetch_add(1, std::memory_order_relaxed);
+        Passes.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  for (int W = 0; W < NumWriters; ++W)
+    Threads.emplace_back([&, W] {
+      for (int64_t I = 0; I < PerWriter; ++I) {
+        EpochDomain::Guard G;
+        M.insertOrAssign(W * PerWriter + I, I);
+      }
+      WritersLeft.fetch_sub(1, std::memory_order_release);
+    });
+  for (auto &T : Threads)
+    T.join();
+  EXPECT_EQ(Misses.load(), 0u);
+  EXPECT_GT(Passes.load(), 0u);
+  EXPECT_EQ(M.size(), size_t(Stable + NumWriters * PerWriter));
+  EXPECT_GE(M.buckets(), 8 * MinBuckets) << "the table did not grow";
+  // A doubling whose grace period the readers' guards held off (a scan
+  // of the whole table is a long guard) is left to a later write: once
+  // the readers have gone, one more insert completes it.
+  EpochDomain::global().synchronize();
+  {
+    EpochDomain::Guard G;
+    M.insertOrAssign(-1 - Stable, Stable);
+  }
+  EXPECT_GE(M.buckets(), M.size() / 2);
+  EpochDomain::Guard G;
+  for (int64_t K = 0; K < NumWriters * PerWriter; K += 97) {
+    int64_t Out = -1;
+    ASSERT_TRUE(M.lookup(K, Out)) << K;
+    EXPECT_EQ(Out, K % PerWriter);
+  }
+}
+
+/// A key that counts its live copies, so a test can tell whether a map
+/// still holds erased entries. Default-constructed keys (the skip list's
+/// sentinels) are not counted.
+struct CountedKey {
+  static inline std::atomic<int64_t> Live{0};
+  int64_t V = 0;
+  bool Counted = false;
+  CountedKey() = default;
+  explicit CountedKey(int64_t V) : V(V), Counted(true) { Live.fetch_add(1); }
+  CountedKey(const CountedKey &O) : V(O.V), Counted(O.Counted) {
+    if (Counted)
+      Live.fetch_add(1);
+  }
+  CountedKey &operator=(const CountedKey &) = delete;
+  ~CountedKey() {
+    if (Counted)
+      Live.fetch_sub(1);
+  }
+  bool operator==(const CountedKey &O) const { return V == O.V; }
+};
+struct CountedKeyHash {
+  uint64_t operator()(const CountedKey &K) const {
+    return mix64(static_cast<uint64_t>(K.V));
+  }
+};
+struct CountedKeyLess {
+  bool operator()(const CountedKey &A, const CountedKey &B) const {
+    return A.V < B.V;
+  }
+};
+
+/// 65,536 live keys, then 4 cycles that insert and erase a disjoint
+/// 65,536-key half. Once a grace period has passed, the live keys must
+/// be exactly the map's entries: an erased entry's memory comes back.
+template <typename Map> void runChurnCycles(Map &M) {
+  constexpr int64_t Half = 65536;
+  const int64_t Before = CountedKey::Live.load();
+  auto Put = [&](int64_t K) {
+    EpochDomain::Guard G;
+    return M.insertOrAssign(CountedKey(K), 0);
+  };
+  for (int64_t K = 0; K < Half; ++K)
+    ASSERT_TRUE(Put(K));
+  for (int Cycle = 1; Cycle <= 4; ++Cycle) {
+    for (int64_t K = Cycle * Half; K < (Cycle + 1) * Half; ++K)
+      ASSERT_TRUE(Put(K));
+    for (int64_t K = Cycle * Half; K < (Cycle + 1) * Half; ++K) {
+      EpochDomain::Guard G;
+      ASSERT_TRUE(M.erase(CountedKey(K)));
+    }
+    EpochDomain::global().synchronize();
+    EXPECT_EQ(CountedKey::Live.load() - Before, int64_t(M.size()))
+        << "cycle " << Cycle;
+  }
+}
+
+TEST(ConcurrentSkipListMapReclaim, ChurnFreesErasedEntries) {
+  ConcurrentSkipListMap<CountedKey, int64_t, CountedKeyLess> M;
+  runChurnCycles(M);
+}
+
+TEST(ConcurrentHashMapReclaim, ChurnFreesErasedEntries) {
+  ConcurrentHashMap<CountedKey, int64_t, CountedKeyHash> M;
+  runChurnCycles(M);
 }
 
 TEST(CowArrayMapStress, SnapshotScansAreAtomic) {
@@ -396,6 +545,7 @@ TEST(CowArrayMapStress, SnapshotScansAreAtomic) {
 // ------------------------------------------------------- AnyContainer
 
 TEST(AnyContainer, AllKindsBehaveAsMaps) {
+  EpochDomain::Guard G;
   for (ContainerKind Kind : AllContainerKinds) {
     std::unique_ptr<AnyContainer> C = AnyContainer::create(Kind);
     ASSERT_EQ(C->kind(), Kind);
@@ -421,6 +571,7 @@ TEST(AnyContainer, AllKindsBehaveAsMaps) {
 }
 
 TEST(AnyContainer, ScanVisitsEverything) {
+  EpochDomain::Guard G;
   for (ContainerKind Kind : AllContainerKinds) {
     if (Kind == ContainerKind::SingletonCell)
       continue;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 using namespace crs;
@@ -152,6 +153,90 @@ TEST(LockSet, ReleaseAllOnDestruction) {
   }
   EXPECT_TRUE(L.tryLock(LockMode::Exclusive));
   L.unlock(LockMode::Exclusive);
+}
+
+/// Waits up to \p Millis for \p Flag; returns it.
+bool waitFor(const std::atomic<bool> &Flag, int Millis) {
+  for (int I = 0; I < Millis && !Flag.load(); ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return Flag.load();
+}
+
+TEST(LockSet, InOrderWaitDiesBehindAnOlderScope) {
+  // Wait-die on the in-order path: a scope never waits behind an older
+  // one. The younger scope holds Low and wants High in order; the older
+  // holds High. Blocked in the mutex, the younger could not be aborted,
+  // while the older, spinning out of order on Low, could only die and
+  // retake High — over and over, as the benchmark's transactional
+  // workload showed. The younger must give up at once, naming the
+  // older holder.
+  PhysicalLock Low, High;
+  std::atomic<bool> OlderHolds{false}, Returned{false};
+  std::atomic<bool> ReleaseOlder{false}, ReleaseYounger{false};
+  TxnAcquire Result = TxnAcquire::Ok;
+  uint64_t Holder = 0;
+  // Each scope keeps its lock set on one thread, as transactions do.
+  std::thread Older([&] {
+    LockSet S;
+    S.setBirthStamp(1);
+    EXPECT_EQ(S.acquireTxn(High, key(1, 0, 0), LockMode::Exclusive, true),
+              TxnAcquire::Ok);
+    OlderHolds = true;
+    while (!ReleaseOlder.load())
+      std::this_thread::yield();
+  });
+  ASSERT_TRUE(waitFor(OlderHolds, 5000));
+  std::thread Younger([&] {
+    LockSet S;
+    S.setBirthStamp(2);
+    EXPECT_EQ(S.acquireTxn(Low, key(0, 0, 0), LockMode::Exclusive, true),
+              TxnAcquire::Ok);
+    Result = S.acquireTxn(High, key(1, 0, 0), LockMode::Exclusive, true);
+    Holder = S.takeLastConflictStamp();
+    Returned = true;
+    while (!ReleaseYounger.load())
+      std::this_thread::yield();
+  });
+  bool ReturnedWhileHeld = waitFor(Returned, 5000);
+  ReleaseOlder = true; // lets a blocked waiter through, so both join
+  Older.join();
+  ReleaseYounger = true;
+  Younger.join();
+  EXPECT_TRUE(ReturnedWhileHeld) << "the younger scope waited behind an "
+                                    "older holder";
+  EXPECT_EQ(Result, TxnAcquire::WouldBlock);
+  EXPECT_EQ(Holder, 1u);
+}
+
+TEST(LockSet, InOrderWaitOutlastsAYoungerHolder) {
+  // The other half of wait-die: an older scope waits its turn behind a
+  // younger holder and gets the lock once it is released.
+  PhysicalLock L;
+  std::atomic<bool> YoungerHolds{false}, Returned{false};
+  std::atomic<bool> ReleaseYounger{false};
+  TxnAcquire Result = TxnAcquire::WouldBlock;
+  std::thread Younger([&] {
+    LockSet S;
+    S.setBirthStamp(2);
+    EXPECT_EQ(S.acquireTxn(L, key(0, 0, 0), LockMode::Exclusive, true),
+              TxnAcquire::Ok);
+    YoungerHolds = true;
+    while (!ReleaseYounger.load())
+      std::this_thread::yield();
+  });
+  ASSERT_TRUE(waitFor(YoungerHolds, 5000));
+  std::thread Older([&] {
+    LockSet S;
+    S.setBirthStamp(1);
+    Result = S.acquireTxn(L, key(0, 0, 0), LockMode::Exclusive, true);
+    Returned = true;
+  });
+  EXPECT_FALSE(waitFor(Returned, 50)) << "returned while the lock was held";
+  ReleaseYounger = true;
+  Younger.join();
+  Older.join();
+  EXPECT_TRUE(Returned.load());
+  EXPECT_EQ(Result, TxnAcquire::Ok);
 }
 
 // ------------------------------------------------------ DeadlockDetector
