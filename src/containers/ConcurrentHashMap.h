@@ -66,7 +66,7 @@ template <typename K, typename V, typename HashFn> class ConcurrentHashMap {
            "ConcurrentHashMap reads epoch-reclaimed nodes; pin a guard first");
   }
 
-  const Node *find(const K &Key, uint64_t H) const {
+  const Node *findNode(const K &Key, uint64_t H) const {
     return Table.find(
         H, [&](const Node *N) { return N->Hash == H && N->Key == Key; });
   }
@@ -81,7 +81,7 @@ template <typename K, typename V, typename HashFn> class ConcurrentHashMap {
     bool Grow = false;
     {
       std::lock_guard<std::mutex> G(Table.stripe(H));
-      if (const Node *Old = find(Key, H)) {
+      if (const Node *Old = findNode(Key, H)) {
         if (!Assign || Old->Val == Val)
           return false;
         Replaced = Table.unlinkIf(
@@ -118,14 +118,20 @@ public:
   ConcurrentHashMap(const ConcurrentHashMap &) = delete;
   ConcurrentHashMap &operator=(const ConcurrentHashMap &) = delete;
 
+  /// Linearizable lookup: the value at \p Key, or null; valid until the
+  /// caller's guard exits.
+  const V *find(const K &Key) const {
+    assertGuarded();
+    const Node *N = findNode(Key, Hasher(Key));
+    return N ? &N->Val : nullptr;
+  }
+
   /// Linearizable lookup: returns true and sets \p Out if present.
   bool lookup(const K &Key, V &Out) const {
-    assertGuarded();
-    const Node *N = find(Key, Hasher(Key));
-    if (!N)
-      return false;
-    Out = N->Val;
-    return true;
+    const V *P = find(Key);
+    if (P)
+      Out = *P;
+    return P;
   }
 
   /// Linearizable insert-or-replace; returns true if newly inserted.
@@ -170,6 +176,9 @@ public:
   size_t size() const { return NumEntries.load(std::memory_order_relaxed); }
   /// Buckets in the current head array (grows with the entries).
   size_t buckets() const { return Table.buckets(); }
+
+  /// Heap bytes of one entry's node.
+  static constexpr size_t entryBytes() { return sizeof(Node); }
 };
 
 } // namespace crs

@@ -19,7 +19,10 @@
 ///    predecessors at every level and validate; removes mark the victim
 ///    first (the linearization point), then unlink;
 ///  * lookups and writes are linearizable; iteration over level 0 is
-///    safe but weakly consistent, in sorted key order.
+///    safe but weakly consistent, in sorted key order;
+///  * a node is allocated with the TopLevel + 1 links its level uses
+///    (two on average), and the list ends at a null link rather than a
+///    tail sentinel.
 ///
 /// A linked node's value is immutable. An assign to an existing key does
 /// nothing for the same value; otherwise it links a fresh node with the
@@ -45,6 +48,7 @@
 #include <atomic>
 #include <cstddef>
 #include <mutex>
+#include <new>
 #include <utility>
 
 namespace crs {
@@ -52,8 +56,13 @@ namespace crs {
 /// Lazy lock-based concurrent skip list map with lock-free reads.
 template <typename K, typename V, typename LessFn>
 class ConcurrentSkipListMap {
+public:
   static constexpr int MaxLevel = 16; // levels 0..MaxLevel
 
+private:
+  /// A node and, in the same allocation, its TopLevel + 1 links. The
+  /// links follow the node's fields and are addressed by pointer
+  /// arithmetic, so a node costs the levels it uses, not MaxLevel + 1.
   struct Node {
     K Key;
     V Val; ///< immutable once linked
@@ -64,22 +73,49 @@ class ConcurrentSkipListMap {
     std::atomic<bool> Replaced{false};
     std::atomic<bool> FullyLinked{false};
     int TopLevel;
-    std::atomic<Node *> Nexts[MaxLevel + 1];
 
-    Node(const K &Key, V Val, int TopLevel)
-        : Key(Key), Val(std::move(Val)), TopLevel(TopLevel) {
-      for (auto &N : Nexts)
-        N.store(nullptr, std::memory_order_relaxed);
+    Node(int TopLevel, const K &Key, V Val)
+        : Key(Key), Val(std::move(Val)), TopLevel(TopLevel) {}
+    // Head sentinel: no key or value.
+    explicit Node(int TopLevel) : Key(), Val(), TopLevel(TopLevel) {}
+
+    std::atomic<Node *> *nexts() {
+      return reinterpret_cast<std::atomic<Node *> *>(
+          reinterpret_cast<char *>(this) + sizeof(Node));
     }
-    // Sentinel constructor (head/tail carry no key/value).
-    explicit Node(int TopLevel) : Key(), Val(), TopLevel(TopLevel) {
-      for (auto &N : Nexts)
-        N.store(nullptr, std::memory_order_relaxed);
+    const std::atomic<Node *> *nexts() const {
+      return const_cast<Node *>(this)->nexts();
+    }
+
+    /// Bytes of a node with links at levels 0..\p TopLevel.
+    static size_t bytes(int TopLevel) {
+      return sizeof(Node) + size_t(TopLevel + 1) * sizeof(std::atomic<Node *>);
+    }
+
+    template <typename... Args> static Node *make(int TopLevel, Args &&...A) {
+      void *Mem = ::operator new(bytes(TopLevel));
+      Node *N;
+      try {
+        N = new (Mem) Node(TopLevel, std::forward<Args>(A)...);
+      } catch (...) {
+        ::operator delete(Mem);
+        throw;
+      }
+      for (int L = 0; L <= TopLevel; ++L)
+        new (&N->nexts()[L]) std::atomic<Node *>(nullptr);
+      return N;
+    }
+
+    static void destroy(void *P) {
+      Node *N = static_cast<Node *>(P);
+      N->~Node();
+      ::operator delete(N);
     }
   };
+  static_assert(sizeof(Node) % alignof(std::atomic<Node *>) == 0,
+                "links must start aligned after the node's fields");
 
-  Node *Head; // -inf sentinel
-  Node *Tail; // +inf sentinel
+  Node *Head; // -inf sentinel; the list ends at a null link (+inf)
   std::atomic<size_t> NumEntries{0};
   LessFn Less;
 
@@ -100,13 +136,13 @@ class ConcurrentSkipListMap {
   bool nodeLess(const Node *N, const K &Key) const {
     if (N == Head)
       return true;
-    if (N == Tail)
+    if (!N)
       return false;
     return Less(N->Key, Key);
   }
 
   bool keyEquals(const Node *N, const K &Key) const {
-    if (N == Head || N == Tail)
+    if (N == Head || !N)
       return false;
     return !Less(N->Key, Key) && !Less(Key, N->Key);
   }
@@ -117,10 +153,10 @@ class ConcurrentSkipListMap {
     int Found = -1;
     Node *Pred = Head;
     for (int Level = MaxLevel; Level >= 0; --Level) {
-      Node *Curr = Pred->Nexts[Level].load(std::memory_order_acquire);
-      while (nodeLess(Curr, Key) && Curr != Tail) {
+      Node *Curr = Pred->nexts()[Level].load(std::memory_order_acquire);
+      while (nodeLess(Curr, Key)) {
         Pred = Curr;
-        Curr = Pred->Nexts[Level].load(std::memory_order_acquire);
+        Curr = Pred->nexts()[Level].load(std::memory_order_acquire);
       }
       if (Found == -1 && keyEquals(Curr, Key))
         Found = Level;
@@ -190,36 +226,33 @@ class ConcurrentSkipListMap {
       findNode(Key, Preds, Succs);
     while (!lockPreds(Preds, Top, [&](int L) {
       return !Preds[L]->Marked.load(std::memory_order_relaxed) &&
-             Preds[L]->Nexts[L].load(std::memory_order_relaxed) == Victim;
+             Preds[L]->nexts()[L].load(std::memory_order_relaxed) == Victim;
     }));
     // The victim's links are frozen: writers next to it validate it
     // unmarked under its lock.
     if (Fresh) {
       for (int L = 0; L <= Top; ++L)
-        Fresh->Nexts[L].store(Victim->Nexts[L].load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
+        Fresh->nexts()[L].store(
+            Victim->nexts()[L].load(std::memory_order_relaxed),
+            std::memory_order_relaxed);
       Fresh->FullyLinked.store(true, std::memory_order_relaxed);
     } else {
       NumEntries.fetch_sub(1, std::memory_order_relaxed);
     }
     for (int L = Top; L >= 0; --L)
-      Preds[L]->Nexts[L].store(
-          Fresh ? Fresh : Victim->Nexts[L].load(std::memory_order_relaxed),
+      Preds[L]->nexts()[L].store(
+          Fresh ? Fresh : Victim->nexts()[L].load(std::memory_order_relaxed),
           std::memory_order_release);
     Victim->Lock.unlock();
     unlockPreds(Preds, Top);
-    EpochDomain::global().retireObject(Victim);
+    EpochDomain::global().retire(Victim, &Node::destroy);
     return true;
   }
 
 public:
   ConcurrentSkipListMap() {
-    Head = new Node(MaxLevel);
-    Tail = new Node(MaxLevel);
-    for (int L = 0; L <= MaxLevel; ++L)
-      Head->Nexts[L].store(Tail, std::memory_order_relaxed);
+    Head = Node::make(MaxLevel);
     Head->FullyLinked.store(true, std::memory_order_relaxed);
-    Tail->FullyLinked.store(true, std::memory_order_relaxed);
   }
 
   ~ConcurrentSkipListMap() {
@@ -227,8 +260,8 @@ public:
     // by the epoch domain.
     Node *N = Head;
     while (N) {
-      Node *Next = N->Nexts[0].load(std::memory_order_relaxed);
-      delete N;
+      Node *Next = N->nexts()[0].load(std::memory_order_relaxed);
+      Node::destroy(N);
       N = Next;
     }
   }
@@ -236,16 +269,24 @@ public:
   ConcurrentSkipListMap(const ConcurrentSkipListMap &) = delete;
   ConcurrentSkipListMap &operator=(const ConcurrentSkipListMap &) = delete;
 
-  /// Linearizable lookup.
-  bool lookup(const K &Key, V &Out) const {
+  /// Linearizable lookup: the value at \p Key, or null; valid until the
+  /// caller's guard exits.
+  const V *find(const K &Key) const {
     assertGuarded();
     Node *Preds[MaxLevel + 1];
     Node *Succs[MaxLevel + 1];
     int Found = findNode(Key, Preds, Succs);
     if (Found == -1 || !readable(Succs[Found]))
-      return false;
-    Out = Succs[Found]->Val;
-    return true;
+      return nullptr;
+    return &Succs[Found]->Val;
+  }
+
+  /// Linearizable lookup: returns true and sets \p Out if present.
+  bool lookup(const K &Key, V &Out) const {
+    const V *P = find(Key);
+    if (P)
+      Out = *P;
+    return P;
   }
 
   /// Linearizable insert-or-replace; returns true if newly inserted.
@@ -265,27 +306,28 @@ public:
         }
         if (Existing->Val == Val)
           return false;
-        Node *Fresh = new Node(Key, std::move(Val), Existing->TopLevel);
+        Node *Fresh = Node::make(Existing->TopLevel, Key, std::move(Val));
         if (unlink(Key, Existing, Fresh))
           return false;
         Val = std::move(Fresh->Val); // lost to another writer: retry
-        delete Fresh;
+        Node::destroy(Fresh);
         continue;
       }
 
       if (!lockPreds(Preds, TopLevel, [&](int L) {
             return !Preds[L]->Marked.load(std::memory_order_relaxed) &&
-                   !Succs[L]->Marked.load(std::memory_order_relaxed) &&
-                   Preds[L]->Nexts[L].load(std::memory_order_relaxed) ==
+                   (!Succs[L] ||
+                    !Succs[L]->Marked.load(std::memory_order_relaxed)) &&
+                   Preds[L]->nexts()[L].load(std::memory_order_relaxed) ==
                        Succs[L];
           }))
         continue;
 
-      Node *NewNode = new Node(Key, std::move(Val), TopLevel);
+      Node *NewNode = Node::make(TopLevel, Key, std::move(Val));
       for (int L = 0; L <= TopLevel; ++L)
-        NewNode->Nexts[L].store(Succs[L], std::memory_order_relaxed);
+        NewNode->nexts()[L].store(Succs[L], std::memory_order_relaxed);
       for (int L = 0; L <= TopLevel; ++L)
-        Preds[L]->Nexts[L].store(NewNode, std::memory_order_release);
+        Preds[L]->nexts()[L].store(NewNode, std::memory_order_release);
       NewNode->FullyLinked.store(true, std::memory_order_release);
       NumEntries.fetch_add(1, std::memory_order_relaxed);
       unlockPreds(Preds, TopLevel);
@@ -320,14 +362,18 @@ public:
   /// ascending key order; the visitor returns false to stop early.
   template <typename Fn> void scan(Fn Visit) const {
     assertGuarded();
-    for (const Node *N = Head->Nexts[0].load(std::memory_order_acquire);
-         N != Tail; N = N->Nexts[0].load(std::memory_order_acquire))
+    for (const Node *N = Head->nexts()[0].load(std::memory_order_acquire); N;
+         N = N->nexts()[0].load(std::memory_order_acquire))
       if (readable(N) && !Visit(static_cast<const K &>(N->Key),
                                 static_cast<const V &>(N->Val)))
         return;
   }
 
   size_t size() const { return NumEntries.load(std::memory_order_relaxed); }
+
+  /// Heap bytes of an entry whose node links levels 0..\p TopLevel
+  /// (randomLevel draws TopLevel geometrically, so two links on average).
+  static size_t entryBytes(int TopLevel) { return Node::bytes(TopLevel); }
 };
 
 } // namespace crs

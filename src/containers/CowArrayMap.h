@@ -132,6 +132,11 @@ public:
 
   size_t size() const { return load()->size(); }
   bool empty() const { return size() == 0; }
+  /// Entries the current snapshot's array has room for.
+  size_t capacity() const { return load()->capacity(); }
+
+  /// Bytes of one entry in the current snapshot array.
+  static constexpr size_t entryBytes() { return sizeof(std::pair<K, V>); }
 };
 
 } // namespace crs

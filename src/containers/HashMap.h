@@ -71,14 +71,20 @@ public:
   HashMap(const HashMap &) = delete;
   HashMap &operator=(const HashMap &) = delete;
 
+  /// The value at \p Key, or null if absent.
+  const V *find(const K &Key) const {
+    for (Node *N = Buckets[bucketFor(Key)]; N; N = N->Next)
+      if (N->Key == Key)
+        return &N->Val;
+    return nullptr;
+  }
+
   /// Returns true and sets \p Out if \p Key is present.
   bool lookup(const K &Key, V &Out) const {
-    for (Node *N = Buckets[bucketFor(Key)]; N; N = N->Next)
-      if (N->Key == Key) {
-        Out = N->Val;
-        return true;
-      }
-    return false;
+    const V *P = find(Key);
+    if (P)
+      Out = *P;
+    return P;
   }
 
   bool contains(const K &Key) const {
@@ -129,6 +135,10 @@ public:
 
   size_t size() const { return NumEntries; }
   bool empty() const { return NumEntries == 0; }
+  size_t buckets() const { return Buckets.size(); }
+
+  /// Heap bytes of one entry's node.
+  static constexpr size_t entryBytes() { return sizeof(Node); }
 
   void clear() {
     for (Node *&Head : Buckets) {

@@ -55,12 +55,17 @@ public:
     delete E.load(std::memory_order_relaxed);
   }
 
-  bool lookup(const K &Key, V &Out) const {
+  /// The value at \p Key, or null; valid until the caller's guard exits.
+  const V *find(const K &Key) const {
     const Entry *P = E.load(std::memory_order_acquire);
-    if (!P || !(P->Key == Key))
-      return false;
-    Out = P->Val;
-    return true;
+    return P && P->Key == Key ? &P->Val : nullptr;
+  }
+
+  bool lookup(const K &Key, V &Out) const {
+    const V *P = find(Key);
+    if (P)
+      Out = *P;
+    return P;
   }
 
   bool contains(const K &Key) const {
@@ -105,6 +110,9 @@ public:
     return E.load(std::memory_order_acquire) ? 1 : 0;
   }
   bool empty() const { return !E.load(std::memory_order_acquire); }
+
+  /// Heap bytes of the entry.
+  static constexpr size_t entryBytes() { return sizeof(Entry); }
 };
 
 } // namespace crs

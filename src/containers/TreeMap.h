@@ -169,20 +169,26 @@ public:
   TreeMap(const TreeMap &) = delete;
   TreeMap &operator=(const TreeMap &) = delete;
 
-  /// Returns true and sets \p Out if \p Key is present.
-  bool lookup(const K &Key, V &Out) const {
+  /// The value at \p Key, or null if absent.
+  const V *find(const K &Key) const {
     Node *N = Root;
     while (N) {
       if (Less(Key, N->Key))
         N = N->Left;
       else if (Less(N->Key, Key))
         N = N->Right;
-      else {
-        Out = N->Val;
-        return true;
-      }
+      else
+        return &N->Val;
     }
-    return false;
+    return nullptr;
+  }
+
+  /// Returns true and sets \p Out if \p Key is present.
+  bool lookup(const K &Key, V &Out) const {
+    const V *P = find(Key);
+    if (P)
+      Out = *P;
+    return P;
   }
 
   bool contains(const K &Key) const {
@@ -211,6 +217,9 @@ public:
 
   size_t size() const { return NumEntries; }
   bool empty() const { return NumEntries == 0; }
+
+  /// Heap bytes of one entry's node.
+  static constexpr size_t entryBytes() { return sizeof(Node); }
 
   void clear() {
     destroyRec(Root);

@@ -16,7 +16,9 @@
 ///   3. leaves have empty residual (every root-to-leaf path binds every
 ///      column exactly once);
 ///   4. non-leaves have at least one outgoing edge per residual column;
-///   5. SingletonCell edges require A →Δ cols(uv).
+///   5. SingletonCell edges require A →Δ cols(uv);
+///   6. an edge binds at most MaxEdgeColumns columns (container entries
+///      hold its values inline).
 ///
 /// These imply the paper's stated consequence A' ⊇ A ∪ cols(uv).
 ///
@@ -78,6 +80,9 @@ ValidationResult Decomposition::validate() const {
     std::string Tag = "edge " + U.Name + "->" + V.Name + " ";
     if (E.Cols.isEmpty())
       Err(Tag + "binds no columns");
+    if (E.Cols.size() > MaxEdgeColumns)
+      Err(Tag + "binds more than " + std::to_string(MaxEdgeColumns) +
+          " columns");
     if (!U.Residual.containsAll(E.Cols))
       Err(Tag + "columns " + Cat.str(E.Cols) + " not within source residual " +
           Cat.str(U.Residual));

@@ -42,6 +42,13 @@ EdgeId Decomposition::addEdge(NodeId Src, NodeId Dst, ColumnSet Cols,
   return Id;
 }
 
+unsigned Decomposition::outSlot(EdgeId E) const {
+  const std::vector<EdgeId> &Out = Nodes[Edges[E].Src].OutEdges;
+  auto It = std::find(Out.begin(), Out.end(), E);
+  assert(It != Out.end() && "edge missing from its source's out-edges");
+  return static_cast<unsigned>(It - Out.begin());
+}
+
 void Decomposition::setEdgeKind(EdgeId E, ContainerKind Kind) {
   assert(E < Edges.size() && "bad edge id");
   Edges[E].Kind = Kind;

@@ -60,6 +60,12 @@ public:
     ContainerKind Kind;  ///< ds(uv): the container implementing the edge
   };
 
+  /// The most columns one edge may bind: container entries and the
+  /// executor's key buffers hold the edge's values inline
+  /// (runtime/AnyContainer.h). Building a relation over a wider edge
+  /// aborts in every build type; validate() reports it first.
+  static constexpr unsigned MaxEdgeColumns = 8;
+
   explicit Decomposition(const RelationSpec &Spec);
 
   /// Adds a fresh node. The first node added is the root and must have
@@ -78,6 +84,9 @@ public:
   unsigned numNodes() const { return static_cast<unsigned>(Nodes.size()); }
   unsigned numEdges() const { return static_cast<unsigned>(Edges.size()); }
   const Node &node(NodeId N) const { return Nodes[N]; }
+  /// Position of edge \p E among its source's OutEdges: the index of its
+  /// container in a node instance.
+  unsigned outSlot(EdgeId E) const;
   const Edge &edge(EdgeId E) const { return Edges[E]; }
   const std::vector<Node> &nodes() const { return Nodes; }
   const std::vector<Edge> &edges() const { return Edges; }

@@ -31,6 +31,15 @@ void LockPlacement::setNodeStripes(NodeId N, uint32_t Stripes) {
   NodeStripes[N] = Stripes;
 }
 
+uint32_t LockPlacement::instanceStripes(NodeId N) const {
+  for (const auto &E : Decomp->edges()) {
+    const EdgePlacement &P = EdgePlacements[E.Id];
+    if (P.Host == N || (P.Speculative && E.Dst == N))
+      return NodeStripes[N];
+  }
+  return 0;
+}
+
 /// Visits every edge on every path from \p From to \p To (exclusive of
 /// edges leaving To). Decomposition DAGs are tiny; plain DFS suffices.
 static void forEachEdgeOnPaths(const Decomposition &D, NodeId From, NodeId To,

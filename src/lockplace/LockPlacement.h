@@ -70,6 +70,12 @@ public:
   }
   uint32_t nodeStripes(NodeId N) const { return NodeStripes[N]; }
 
+  /// The physical locks each instance of node \p N carries: its stripe
+  /// count when the placement hosts an edge at N or a speculative edge
+  /// locks its present targets there (§4.5), and 0 otherwise — nothing
+  /// ever locks such an instance.
+  uint32_t instanceStripes(NodeId N) const;
+
   /// Checks placement well-formedness (domination, path-sharing,
   /// speculative preconditions, stripe-column visibility).
   ValidationResult validate() const;

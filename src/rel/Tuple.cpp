@@ -71,6 +71,7 @@ void Tuple::rebind(const ColumnId *Cols, const Value *Vals, size_t N) {
 
 Tuple Tuple::project(ColumnSet Cols) const {
   Tuple Out;
+  Out.Entries.reserve((Dom & Cols).size());
   for (const auto &[C, V] : Entries) {
     if (!Cols.contains(C))
       continue;
@@ -78,6 +79,60 @@ Tuple Tuple::project(ColumnSet Cols) const {
     Out.Dom |= ColumnSet::of(C);
   }
   return Out;
+}
+
+void Tuple::valuesOf(ColumnSet Cols, Value *Out) const {
+  assert(Dom.containsAll(Cols) && "tuple lacks a requested column");
+  for (const auto &[C, V] : Entries)
+    if (Cols.contains(C))
+      *Out++ = V;
+}
+
+uint64_t Tuple::hashOf(ColumnSet Cols) const {
+  uint64_t H = 0x243f6a8885a308d3ULL;
+  for (const auto &[C, V] : Entries) {
+    if (!Cols.contains(C))
+      continue;
+    H = hashCombine(H, C);
+    H = hashCombine(H, V.hash());
+  }
+  return H;
+}
+
+bool Tuple::matchesRow(const ColumnId *Cols, const Value *Vals,
+                       unsigned N) const {
+  auto It = Entries.begin(), End = Entries.end();
+  for (unsigned I = 0; I < N; ++I) {
+    while (It != End && It->first < Cols[I])
+      ++It;
+    if (It == End)
+      return true;
+    if (It->first == Cols[I] && It->second != Vals[I])
+      return false;
+  }
+  return true;
+}
+
+void Tuple::assignUnionRow(const Tuple &A, const ColumnId *Cols,
+                           const Value *Vals, unsigned N) {
+  assert(this != &A && "assignUnionRow operand must not alias");
+  assert(A.matchesRow(Cols, Vals, N) && "union of conflicting tuples");
+  Entries.clear();
+  Entries.reserve(A.Entries.size() + N);
+  Dom = A.Dom;
+  auto IA = A.Entries.begin(), EA = A.Entries.end();
+  unsigned I = 0;
+  while (IA != EA || I < N) {
+    if (I == N || (IA != EA && IA->first <= Cols[I])) {
+      if (I < N && IA->first == Cols[I])
+        ++I; // agreeing common column: take A's value
+      Entries.push_back(*IA++);
+    } else {
+      Entries.push_back({Cols[I], Vals[I]});
+      Dom |= ColumnSet::of(Cols[I]);
+      ++I;
+    }
+  }
 }
 
 bool Tuple::extends(const Tuple &S) const {
@@ -102,11 +157,8 @@ bool Tuple::matches(const Tuple &S) const {
 }
 
 Tuple Tuple::unionWith(const Tuple &Other) const {
-  assert(matches(Other) && "union of conflicting tuples");
-  Tuple Out = *this;
-  for (const auto &[C, V] : Other.Entries)
-    if (!Out.hasColumn(C))
-      Out.set(C, V);
+  Tuple Out;
+  Out.assignUnion(*this, Other);
   return Out;
 }
 
@@ -121,6 +173,7 @@ void Tuple::assignUnion(const Tuple &A, const Tuple &B) {
   assert(this != &A && this != &B && "assignUnion operands must not alias");
   assert(A.matches(B) && "union of conflicting tuples");
   Entries.clear();
+  Entries.reserve((A.Dom | B.Dom).size());
   auto IA = A.Entries.begin(), EA = A.Entries.end();
   auto IB = B.Entries.begin(), EB = B.Entries.end();
   while (IA != EA || IB != EB) {
@@ -138,6 +191,7 @@ void Tuple::assignUnion(const Tuple &A, const Tuple &B) {
 void Tuple::assignProject(const Tuple &A, ColumnSet C) {
   assert(this != &A && "assignProject operand must not alias");
   Entries.clear();
+  Entries.reserve((A.Dom & C).size());
   Dom = ColumnSet::empty();
   for (const auto &[Col, V] : A.Entries) {
     if (!C.contains(Col))

@@ -63,6 +63,25 @@ public:
   /// from the tuple are simply absent in the result.
   Tuple project(ColumnSet Cols) const;
 
+  /// \name Rows of values over static columns (rel/ValueKey.h)
+  /// Decomposition nodes and edges fix their columns, so instance keys
+  /// and container keys are stored as bare values in column order.
+  /// These read and merge such rows without building a Tuple.
+  /// @{
+  /// Writes the values of \p Cols, all bound by this tuple, to \p Out
+  /// in column order.
+  void valuesOf(ColumnSet Cols, Value *Out) const;
+  /// project(Cols).hash(), without building the projection.
+  uint64_t hashOf(ColumnSet Cols) const;
+  /// True if this tuple agrees with the row binding \p Cols[I] (strictly
+  /// ascending) to \p Vals[I] on every common column.
+  bool matchesRow(const ColumnId *Cols, const Value *Vals, unsigned N) const;
+  /// *this = A ∪ row. Requires A.matchesRow(Cols, Vals, N); must not
+  /// alias A.
+  void assignUnionRow(const Tuple &A, const ColumnId *Cols, const Value *Vals,
+                      unsigned N);
+  /// @}
+
   /// True if this tuple extends \p S: equal to S on all of S's columns
   /// (the paper's t ⊇ s). Requires dom S ⊆ dom t to return true.
   bool extends(const Tuple &S) const;

@@ -44,6 +44,7 @@
 #include <algorithm>
 #include <functional>
 #include <thread>
+#include <unordered_set>
 
 using namespace crs;
 
@@ -60,9 +61,7 @@ ConcurrentRelation::ConcurrentRelation(RepresentationConfig Cfg,
       Config.Placement->validateContainerSafety();
   assert(SafeOk.ok() && "container choices must match the placement");
 
-  const Decomposition &D = *Config.Decomp;
-  Root = NodeInstance::create(D, D.root(), Tuple(),
-                              Config.Placement->nodeStripes(D.root()));
+  Root = Executor.createRoot();
   FastRoot.store(Root.get(), std::memory_order_seq_cst);
   Mvcc = std::make_unique<MvccStore>(spec(), Config.ExpectedCardinality);
 }
@@ -145,6 +144,13 @@ const Plan *ConcurrentRelation::undoRemovePlan() const {
   });
 }
 
+void ConcurrentRelation::retirePlans() {
+  std::lock_guard<std::mutex> G(RetirePlansM);
+  uint64_t E = PlanEpoch.fetch_add(1, std::memory_order_seq_cst) + 1;
+  Plans.clear();
+  PlansClearedAt.store(E, std::memory_order_seq_cst);
+}
+
 const Plan *ConcurrentRelation::resolvePlan(PlanOp Op, ColumnSet DomS,
                                             ColumnSet C) const {
   switch (Op) {
@@ -207,7 +213,7 @@ ConcurrentRelation::runQueryPlan(const Plan &P, const Tuple &Input,
   Ctx.Locks.setOrderDomain(0, LockDomain);
   for (unsigned Attempt = 0;; ++Attempt) {
     OpScope Scope(Ctx);
-    if (Executor.run(P, Input, Root, Ctx) == ExecStatus::Ok) {
+    if (Executor.run(P, Input, Root.get(), Ctx) == ExecStatus::Ok) {
       // Shrinking phase: release while the context still pins the read
       // instances, then stream the result states — the tuples are arena
       // copies, so visiting after the unlock keeps hold times short and
@@ -238,7 +244,7 @@ unsigned ConcurrentRelation::runRemovePlan(const Plan &P, const Tuple &S) {
   // epilogue that replays the committed mutation into this sink.
   Ctx.Mirror = ActiveMirror.load(std::memory_order_acquire);
   OpScope Scope(Ctx);
-  [[maybe_unused]] ExecStatus St = Executor.run(P, S, Root, Ctx);
+  [[maybe_unused]] ExecStatus St = Executor.run(P, S, Root.get(), Ctx);
   assert(St == ExecStatus::Ok && "mutation plans never speculate");
   uint32_t Matched = Ctx.numStates(P.ResultVar);
   assert(Matched <= 1 && "key-matched remove found multiple tuples");
@@ -272,7 +278,7 @@ bool ConcurrentRelation::runInsertPlan(const Plan &P, const Tuple &Full) {
   Ctx.Count = &Count;
   Ctx.Mirror = ActiveMirror.load(std::memory_order_acquire);
   OpScope Scope(Ctx);
-  ExecStatus St = Executor.run(P, Full, Root, Ctx);
+  ExecStatus St = Executor.run(P, Full, Root.get(), Ctx);
   // Insert plans never speculate (the §4.5 writer protocol takes
   // blocking, in-order locks), so like remove there is no retry loop.
   assert(St != ExecStatus::Restart && "mutation plans never speculate");
@@ -318,16 +324,12 @@ uint32_t ConcurrentRelation::runFastQueryPlan(
   ExecContext &Ctx = ExecContext::current();
   OpScope Scope(Ctx);
   Ctx.LockFree = true;
-  // Non-owning alias of the published root: a refcount bump on the
-  // root's control block would be one shared RMW per query, the very
-  // line this path removes. The epoch guard keeps the whole tree alive
-  // — the retirement flip synchronizes before dropping it. Interior
-  // instances are still pinned by owning copies the container lookups
-  // hand out, so a concurrently removed instance outlives its visit.
-  NodeInstPtr RootAlias(std::shared_ptr<NodeInstance>(),
-                        FastRoot.load(std::memory_order_seq_cst));
-  [[maybe_unused]] ExecStatus St =
-      Executor.run(P, Input, std::move(RootAlias), Ctx);
+  // Raw instance pointers throughout, the root included: the epoch guard
+  // keeps every instance this query reaches allocated (a removed one is
+  // retired, not freed — NodeInstance.h), so no reference count is
+  // written. The retirement flip synchronizes before dropping the root.
+  [[maybe_unused]] ExecStatus St = Executor.run(
+      P, Input, FastRoot.load(std::memory_order_seq_cst), Ctx);
   assert(St == ExecStatus::Ok && "lock-free query plans cannot restart");
   uint32_t N = Ctx.numStates(P.ResultVar);
   for (uint32_t I = 0; I < N; ++I)
@@ -382,38 +384,43 @@ bool ConcurrentRelation::insert(const Tuple &S, const Tuple &T) {
 
 /// One quiescent traversal step (consistency checking): extends each
 /// walk state across edge \p E by lookup (key bound) or scan, joining
-/// against bound columns.
+/// against bound columns. Callers hold an epoch guard across the walk
+/// (the concurrent containers' read contract) and quiescence keeps the
+/// bound instances alive.
 namespace {
 struct WalkState {
   Tuple T;
-  std::vector<NodeInstPtr> Bound;
+  std::vector<NodeInstance *> Bound;
 };
 } // namespace
 
 static void stepStates(const Decomposition &D, EdgeId E,
                        std::vector<WalkState> &States) {
   const auto &Edge = D.edge(E);
+  const std::vector<ColumnId> Cols = Edge.Cols.members();
+  const unsigned Slot = D.outSlot(E);
   std::vector<WalkState> Out;
-  EpochDomain::Guard EG; // the concurrent containers' read contract
   for (WalkState &State : States) {
-    const NodeInstPtr &Inst = State.Bound[Edge.Src];
+    const NodeInstance *Inst = State.Bound[Edge.Src];
     if (!Inst)
       continue;
-    const AnyContainer &Container = Inst->containerFor(E);
+    const AnyContainer &Container = Inst->out(Slot);
     if (State.T.domain().containsAll(Edge.Cols)) {
-      NodeInstPtr Found;
-      if (!Container.lookup(State.T.project(Edge.Cols), Found))
+      Value Key[Decomposition::MaxEdgeColumns];
+      State.T.valuesOf(Edge.Cols, Key);
+      NodeInstance *Found = Container.lookup(Key);
+      if (!Found)
         continue;
       WalkState NewState = std::move(State);
-      NewState.Bound[Edge.Dst] = std::move(Found);
+      NewState.Bound[Edge.Dst] = Found;
       Out.push_back(std::move(NewState));
     } else {
-      Container.scan([&](const Tuple &Key, const NodeInstPtr &Val) {
-        Tuple Joined;
-        if (!State.T.tryJoin(Key, Joined))
+      Container.scan([&](const Value *Key, NodeInstance *Val) {
+        if (!State.T.matchesRow(Cols.data(), Key, unsigned(Cols.size())))
           return true;
         WalkState NewState;
-        NewState.T = std::move(Joined);
+        NewState.T.assignUnionRow(State.T, Cols.data(), Key,
+                                  unsigned(Cols.size()));
         NewState.Bound = State.Bound;
         NewState.Bound[Edge.Dst] = Val;
         Out.push_back(std::move(NewState));
@@ -490,6 +497,18 @@ void ConcurrentRelation::attachMetrics(obs::MetricsRegistry &Reg,
       [this] { return uint64_t(Mvcc->buckets()); });
   Add("relation.mvcc.resizes", CK::Counter,
       [this] { return Mvcc->resizes(); });
+  // The heap by layer, as of the last memoryLedger() call: a snapshot
+  // runs callbacks under the registry mutex, so these must not close
+  // the operation gate (an operation may be waiting for that mutex).
+  static const char *LayerNames[obs::MemoryLedger::NumLayers] = {
+      "instances", "entries", "locks", "versions", "directories"};
+  for (unsigned Layer = 0; Layer < obs::MemoryLedger::NumLayers; ++Layer) {
+    obs::MetricLabels LL = L;
+    LL.emplace_back("layer", LayerNames[Layer]);
+    OS->Callbacks.push_back(
+        Reg.addCallback("relation.memory_bytes", LL, CK::Gauge,
+                        [this, Layer] { return LedgerBytes[Layer].load(); }));
+  }
   static const char *CauseNames[NumAbortCauses] = {
       "none", "conflict", "upgrade", "epoch_change", "gate_busy", "user"};
   for (unsigned C = 1; C < NumAbortCauses; ++C) { // cause 0 = None: no abort
@@ -534,10 +553,11 @@ ConcurrentRelation::checkpointSnapshot(uint64_t &Watermark) const {
   // represented relation (adequacy; verifyConsistency checks they all
   // agree), so follow first out-edges only.
   const Decomposition &D = *Config.Decomp;
+  EpochDomain::Guard EG;
   std::vector<WalkState> States;
   WalkState Init;
   Init.Bound.resize(D.numNodes());
-  Init.Bound[D.root()] = Root;
+  Init.Bound[D.root()] = Root.get();
   States.push_back(std::move(Init));
   for (NodeId N = D.root(); !D.node(N).OutEdges.empty();) {
     EdgeId E = D.node(N).OutEdges.front();
@@ -553,22 +573,22 @@ ConcurrentRelation::checkpointSnapshot(uint64_t &Watermark) const {
 
 /// Visits every live node instance exactly once (quiescent walk).
 static void forEachInstance(
-    const Decomposition &D, const NodeInstPtr &Root,
+    const Decomposition &D, const NodeInstance *Root,
     const std::function<void(NodeId, const NodeInstance &)> &Visit) {
-  std::vector<const NodeInstance *> Seen;
+  // Only nodes with several in-edges can be reached twice.
+  std::vector<std::unordered_set<const NodeInstance *>> Seen(D.numNodes());
   EpochDomain::Guard EG; // the concurrent containers' read contract
-  std::function<void(NodeId, const NodeInstPtr &)> Walk =
-      [&](NodeId N, const NodeInstPtr &Inst) {
-        if (std::find(Seen.begin(), Seen.end(), Inst.get()) != Seen.end())
+  std::function<void(NodeId, const NodeInstance *)> Walk =
+      [&](NodeId N, const NodeInstance *Inst) {
+        if (D.node(N).InEdges.size() > 1 && !Seen[N].insert(Inst).second)
           return;
-        Seen.push_back(Inst.get());
         Visit(N, *Inst);
-        for (EdgeId E : D.node(N).OutEdges)
-          Inst->containerFor(E).scan(
-              [&](const Tuple &, const NodeInstPtr &Child) {
-                Walk(D.edge(E).Dst, Child);
-                return true;
-              });
+        const std::vector<EdgeId> &Out = D.node(N).OutEdges;
+        for (unsigned Slot = 0; Slot < Out.size(); ++Slot)
+          Inst->out(Slot).scan([&](const Value *, NodeInstance *Child) {
+            Walk(D.edge(Out[Slot]).Dst, Child);
+            return true;
+          });
       };
   Walk(D.root(), Root);
 }
@@ -578,21 +598,50 @@ RelationStatistics ConcurrentRelation::collectStatistics() const {
   RelationStatistics Stats;
   Stats.Edges.resize(D.numEdges());
   Stats.Nodes.resize(D.numNodes());
-  forEachInstance(D, Root, [&](NodeId N, const NodeInstance &Inst) {
+  forEachInstance(D, Root.get(), [&](NodeId N, const NodeInstance &Inst) {
     ++Stats.NodeInstances;
     NodeLockTraffic &Traffic = Stats.Nodes[N];
     ++Traffic.Instances;
-    for (uint32_t I = 0; I < Inst.NumStripes; ++I) {
-      Traffic.Acquisitions += Inst.Stripes[I].acquisitions();
-      Traffic.Contentions += Inst.Stripes[I].contentions();
+    for (uint32_t I = 0; I < Inst.numStripes(); ++I) {
+      Traffic.Acquisitions += Inst.stripe(I).acquisitions();
+      Traffic.Contentions += Inst.stripe(I).contentions();
     }
-    for (EdgeId E : D.node(N).OutEdges) {
-      EdgeOccupancy &Occ = Stats.Edges[E];
+    const std::vector<EdgeId> &Out = D.node(N).OutEdges;
+    for (unsigned Slot = 0; Slot < Out.size(); ++Slot) {
+      EdgeOccupancy &Occ = Stats.Edges[Out[Slot]];
       ++Occ.Containers;
-      Occ.Entries += Inst.containerFor(E).size();
+      Occ.Entries += Inst.out(Slot).size();
     }
   });
   return Stats;
+}
+
+obs::MemoryLedger ConcurrentRelation::memoryLedger() const {
+  using obs::heapChunkBytes;
+  obs::MemoryLedger L;
+  {
+    // Config is read behind the barrier: a migration flip reassigns it.
+    OpGate::Barrier B(Gate);
+    const Decomposition &D = *Config.Decomp;
+    forEachInstance(D, Root.get(), [&](NodeId, const NodeInstance &Inst) {
+      const InstanceLayout &Lay = Inst.layout();
+      uint64_t Locks = uint64_t(Lay.NumStripes) * sizeof(PhysicalLock);
+      L.Locks += Locks;
+      L.Instances += heapChunkBytes(Lay.Size) - Locks;
+      for (unsigned Slot = 0; Slot < Lay.Out.size(); ++Slot) {
+        const InstanceLayout::Slot &S = Lay.Out[Slot];
+        if (!S.Inline)
+          L.Instances += heapChunkBytes(AnyContainer::shape(S.Kind, S.Arity).Size);
+        AnyContainer::HeapBytes H = Inst.out(Slot).heapBytes();
+        L.Instances += H.Base;
+        L.Entries += H.Entries;
+      }
+    });
+  }
+  Mvcc->memoryBytes(L.Versions, L.Directories);
+  for (unsigned Layer = 0; Layer < obs::MemoryLedger::NumLayers; ++Layer)
+    LedgerBytes[Layer].store(L.layer(Layer));
+  return L;
 }
 
 void ConcurrentRelation::adaptPlans() {
@@ -625,18 +674,18 @@ void ConcurrentRelation::adaptPlans() {
   // if the snapshot was freeable during a guard, its retire — and
   // therefore this preceding bump — is before the guard's entry in the
   // seq_cst order, so the reader's epoch check must observe the bump
-  // and rebind instead of touching the plan. The benign flip side: a
-  // racing rebinder may re-bind a not-yet-cleared plan at the new
-  // epoch; old plans remain semantically valid here (only the cost
-  // model changed), so it merely keeps an old shape one cycle longer.
+  // and rebind instead of touching the plan. The flip side: a rebinder
+  // racing the window between bump and clear can resolve a plan the
+  // clear is about to retire. It may run it once, inside its guard, but
+  // must not cache it under the new epoch — retirePlans publishes
+  // PlansClearedAt for exactly that check (PreparedOpImpl::rebindSlow).
   // The first rebinder per signature compiles (one counted miss);
   // everyone else rebinds onto that publication wait-free.
   // The signatures compiled at this instant are the access paths still
   // in live use (captured before the clear wipes them) — they decide
   // which MVCC chain directories survive below.
   std::vector<PlanCache::Signature> Sigs = Plans.signatures();
-  PlanEpoch.fetch_add(1, std::memory_order_seq_cst);
-  Plans.clear();
+  retirePlans();
 
   // Retire secondary chain directories whose read signature left the
   // cache: a directory serves snapshot reads binding dom(s) ∩ key, so
@@ -682,11 +731,12 @@ ValidationResult ConcurrentRelation::verifyConsistency() const {
   // Collect the tuple set along each path (unlocked: quiescence is the
   // caller's obligation).
   std::vector<std::vector<Tuple>> PathTuples;
+  EpochDomain::Guard EG;
   for (const auto &Path : Paths) {
     std::vector<WalkState> States;
     WalkState Init;
     Init.Bound.resize(D.numNodes());
-    Init.Bound[D.root()] = Root;
+    Init.Bound[D.root()] = Root.get();
     States.push_back(std::move(Init));
     for (EdgeId E : Path)
       stepStates(D, E, States);

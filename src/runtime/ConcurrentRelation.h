@@ -26,6 +26,7 @@
 #ifndef CRS_RUNTIME_CONCURRENTRELATION_H
 #define CRS_RUNTIME_CONCURRENTRELATION_H
 
+#include "obs/MemoryLedger.h"
 #include "obs/Metrics.h"
 #include "plan/Planner.h"
 #include "runtime/Interpreter.h"
@@ -238,6 +239,13 @@ public:
   /// inside an operation (e.g. a forEach visitor).
   RelationStatistics sampleStatistics() const;
 
+  /// The relation's heap by layer (obs/MemoryLedger.h): live instance,
+  /// entry, lock, version and directory counts times their object
+  /// sizes. Closes the operation gate for a walk like
+  /// sampleStatistics(), with the same restrictions. Each call also
+  /// updates the `relation.memory_bytes` gauges attachMetrics exports.
+  obs::MemoryLedger memoryLedger() const;
+
   /// Cumulative per-kind operation counts (striped relaxed counters;
   /// the online tuner diffs successive readings for the live mix).
   OperationCounts operationCounts() const {
@@ -257,10 +265,12 @@ public:
   /// traversed container concurrency-safe) execute under an epoch
   /// guard (sync/Epoch.h) with *zero* physical-lock acquisitions and
   /// without touching the operation gate; the concurrent containers
-  /// read lock-free too. What a pure read still writes to shared cache
-  /// lines is the reference count of every node instance it visits
-  /// (ExecContext::intern pins each one with a shared_ptr copy) and a
-  /// stripe of the query counter. The price is the consistency
+  /// read lock-free too, and node instances are bound as raw pointers
+  /// the guard keeps allocated, so no instance reference count is
+  /// written. What a pure read still writes to a shared cache line is a
+  /// stripe of the query counter, plus, on CowArrayMap edges, the
+  /// snapshot's and the entry's reference counts (a lookup copies both
+  /// out of the snapshot). The price is the consistency
   /// class: a fast query is weakly consistent, like iterating a
   /// ConcurrentHashMap — every tuple present for the whole query is
   /// observed, concurrent inserts/removes may or may not be. The
@@ -391,7 +401,7 @@ private:
   mutable std::mutex PlannerMutex;
   QueryPlanner Planner;
   PlanExecutor Executor;
-  NodeInstPtr Root;
+  NodeRef Root;
   std::atomic<size_t> Count{0};
   mutable std::atomic<uint64_t> Restarts{0};
   /// Cross-set lock-order domain ordinal (debug validator; see
@@ -407,6 +417,17 @@ private:
   /// semantically valid, only the cost model moved), and impossible for
   /// migration flips (they run behind the drain barrier).
   std::atomic<uint64_t> PlanEpoch{0};
+  /// The plan epoch whose cache clear has completed. Between a bump and
+  /// its clear, a rebinding handle can still resolve a plan from the
+  /// snapshot the clear is about to retire; handles cache a resolved
+  /// plan only when PlansClearedAt equals the epoch they observed
+  /// (PreparedOpImpl::rebindSlow).
+  std::atomic<uint64_t> PlansClearedAt{0};
+  std::mutex RetirePlansM; ///< serializes retirePlans
+  /// Bumps the plan epoch, clears the plan cache, then publishes the
+  /// epoch in PlansClearedAt — the bump first, for the reason given at
+  /// its use in adaptPlans.
+  void retirePlans();
 
   /// The epoch-protected read fast path's state. FastRoot mirrors
   /// Root.get() as a plain atomic so lock-free readers can load it
@@ -467,6 +488,9 @@ private:
   /// one shared line between every aborting core.
   static constexpr unsigned NumAbortCauses = 6;
   mutable StripedCounter AbortCounts[NumAbortCauses];
+  /// The last memoryLedger() figures by layer, read by the gauges.
+  mutable std::atomic<uint64_t> LedgerBytes[obs::MemoryLedger::NumLayers] =
+      {};
 
   const Plan *queryPlanFor(ColumnSet DomS, ColumnSet C) const;
   const Plan *removePlanFor(ColumnSet DomS) const;

@@ -33,12 +33,12 @@ void ExecContext::reset() {
   // their entry vectors keep their capacity for the next operation.
   NumStates = 0;
   Bind.clear();
-  Pool.clear();
+  unpin(0);
   Vars.clear();
 }
 
 void ExecContext::begin(uint32_t NumNodes, PlanVar NumVars,
-                        const Tuple &Input, NodeInstPtr Root,
+                        const Tuple &Input, NodeInstance *Root,
                         NodeId RootNode) {
   if (Txn) {
     // Transaction scope: locks are retained to commit and the pool must
@@ -49,9 +49,13 @@ void ExecContext::begin(uint32_t NumNodes, PlanVar NumVars,
   } else {
     reset();
   }
+  if (Pool.empty())
+    PoolPins = !LockFree;
+  assert(PoolPins == !LockFree && "one pool mixes pinned and lock-free binds");
   Stride = NumNodes;
   Vars.assign(NumVars, {});
-  uint32_t RootIdx = intern(std::move(Root));
+  uint32_t RootIdx = intern(Root);
+  assert(RootIdx != NoBinding && "the root outlives its relation's operations");
   uint32_t S0 = allocState();
   Tuples[S0] = Input; // copy-assign into the recycled slot
   Bind.assign(Stride, NoBinding);
@@ -74,17 +78,16 @@ uint32_t ExecContext::pushStateCopy(uint32_t Src) {
   return NS;
 }
 
-uint32_t ExecContext::pushStateJoinOf(const Tuple &A, const Tuple &B,
-                                      uint32_t Src) {
-  // The operands must not live in the arena: allocState may reallocate
-  // it (callers keep stable copies of in-arena tuples they join on).
+uint32_t ExecContext::pushStateJoinRow(const Tuple &A, const ColumnId *Cols,
+                                       const Value *Vals, unsigned N,
+                                       uint32_t Src) {
+  // The operand must not live in the arena: allocState may reallocate
+  // it (callers join on the ScanInput copy of an in-arena tuple).
   assert((Tuples.empty() || (&A < Tuples.data() ||
                              &A >= Tuples.data() + Tuples.size())) &&
-         (Tuples.empty() || (&B < Tuples.data() ||
-                             &B >= Tuples.data() + Tuples.size())) &&
          "joining against an arena tuple that allocState may move");
   uint32_t NS = allocState();
-  Tuples[NS].assignUnion(A, B);
+  Tuples[NS].assignUnionRow(A, Cols, Vals, N);
   std::copy_n(Bind.data() + size_t(Src) * Stride, Stride,
               Bind.data() + size_t(NS) * Stride);
   return NS;
@@ -102,19 +105,38 @@ uint32_t ExecContext::pushStateProjOf(uint32_t Src, ColumnSet C) {
 //===----------------------------------------------------------------------===//
 
 PlanExecutor::PlanExecutor(const Decomposition &D, const LockPlacement &P)
-    : Decomp(&D), Placement(&P), TopoIdx(D.topologicalIndex()) {}
+    : Decomp(&D), Placement(&P), TopoIdx(D.topologicalIndex()) {
+  for (NodeId N = 0; N < D.numNodes(); ++N)
+    Layouts.push_back(&InstanceLayout::forNode(D, P, N));
+  for (const auto &E : D.edges()) {
+    EdgeCols.push_back(E.Cols.members());
+    OutSlot.push_back(D.outSlot(E.Id));
+  }
+}
+
+NodeRef PlanExecutor::createRoot() const {
+  return NodeInstance::create(*Layouts[Decomp->root()], nullptr);
+}
 
 LockOrderKey PlanExecutor::orderKey(NodeId Node, const NodeInstance &Inst,
                                     uint32_t Stripe) const {
-  return {TopoIdx[Node], Inst.Key, Stripe};
+  return {TopoIdx[Node], Inst.keySpan(), Stripe};
 }
 
 /// Stripe index selected by hashing \p Cols of \p T over \p Count stripes.
 static uint32_t stripeIndex(const Tuple &T, ColumnSet Cols, uint32_t Count) {
   if (Count <= 1)
     return 0;
-  return static_cast<uint32_t>(T.project(Cols).hash() % Count);
+  return static_cast<uint32_t>(T.hashOf(Cols) % Count);
 }
+
+namespace {
+/// A container key read from a state: the edge's values in column
+/// order, padded with default values (AnyContainer's key contract).
+struct EdgeKey {
+  Value V[Decomposition::MaxEdgeColumns];
+};
+} // namespace
 
 /// One lock acquisition, transaction-aware. Outside a transaction:
 /// blocking when \p SpecSite is false (plan statements arrive in the
@@ -154,11 +176,9 @@ ExecStatus PlanExecutor::execLock(const PlanStmt &St, ExecContext &Ctx) const {
   // concurrency-safe, so lock statements are skipped wholesale.
   if (Ctx.LockFree)
     return ExecStatus::Ok;
-  struct Req {
-    LockOrderKey Key;
-    PhysicalLock *Lock;
-  };
-  std::vector<Req> Reqs;
+  using Req = ExecContext::LockReq;
+  std::vector<Req> &Reqs = Ctx.LockReqs; // recycled capacity
+  Reqs.clear();
   ExecContext::VarRange R = Ctx.Vars[St.InVar];
   for (uint32_t I = 0; I < R.Count; ++I) {
     uint32_t S = R.First + I;
@@ -169,18 +189,18 @@ ExecStatus PlanExecutor::execLock(const PlanStmt &St, ExecContext &Ctx) const {
     for (const StripeSel &Sel : St.Sels) {
       switch (Sel.M) {
       case StripeSel::Mode::All:
-        for (uint32_t K = 0; K < Inst.NumStripes; ++K)
-          Reqs.push_back({orderKey(St.Node, Inst, K), &Inst.Stripes[K]});
+        for (uint32_t K = 0; K < Inst.numStripes(); ++K)
+          Reqs.push_back({orderKey(St.Node, Inst, K), &Inst.stripe(K)});
         break;
       case StripeSel::Mode::ByCols: {
         assert(Ctx.Tuples[S].domain().containsAll(Sel.Cols) &&
                "stripe selector columns unbound at lock time");
-        uint32_t K = stripeIndex(Ctx.Tuples[S], Sel.Cols, Inst.NumStripes);
-        Reqs.push_back({orderKey(St.Node, Inst, K), &Inst.Stripes[K]});
+        uint32_t K = stripeIndex(Ctx.Tuples[S], Sel.Cols, Inst.numStripes());
+        Reqs.push_back({orderKey(St.Node, Inst, K), &Inst.stripe(K)});
         break;
       }
       case StripeSel::Mode::First:
-        Reqs.push_back({orderKey(St.Node, Inst, 0), &Inst.Stripes[0]});
+        Reqs.push_back({orderKey(St.Node, Inst, 0), &Inst.stripe(0)});
         break;
       }
     }
@@ -206,33 +226,38 @@ void PlanExecutor::execLookup(const PlanStmt &St, ExecContext &Ctx) const {
   const auto &E = Decomp->edge(St.Edge);
   ExecContext::VarRange R = Ctx.Vars[St.InVar];
   uint32_t OutFirst = Ctx.numAllStates();
+  EdgeKey Key;
   for (uint32_t I = 0; I < R.Count; ++I) {
     uint32_t S = R.First + I;
     uint32_t SrcIdx = Ctx.bindIdx(S, E.Src);
     if (SrcIdx == ExecContext::NoBinding)
       continue;
-    Tuple Key = Ctx.Tuples[S].project(E.Cols);
-    NodeInstPtr Found;
-    if (!Ctx.Pool[SrcIdx]->containerFor(St.Edge).lookup(Key, Found))
+    Ctx.Tuples[S].valuesOf(E.Cols, Key.V);
+    NodeInstance *Found = container(*Ctx.Pool[SrcIdx], St.Edge).lookup(Key.V);
+    if (!Found)
       continue;
     uint32_t DstIdx = Ctx.bindIdx(S, E.Dst);
     if (DstIdx != ExecContext::NoBinding) {
       // Shared node reached along a second path (diamond): instances
       // must agree or the heap is not a well-formed decomposition
       // instance.
-      assert(Ctx.Pool[DstIdx].get() == Found.get() &&
-             "inconsistent shared-node binding");
-      if (Ctx.Pool[DstIdx].get() != Found.get())
+      assert(Ctx.Pool[DstIdx] == Found && "inconsistent shared-node binding");
+      if (Ctx.Pool[DstIdx] != Found)
         continue;
     }
+    uint32_t FoundIdx = Ctx.intern(Found);
+    if (FoundIdx == ExecContext::NoBinding)
+      continue; // unlinked since the lookup
     uint32_t NS = Ctx.pushStateCopy(S);
-    Ctx.setBind(NS, E.Dst, Ctx.intern(std::move(Found)));
+    Ctx.setBind(NS, E.Dst, FoundIdx);
   }
   Ctx.Vars[St.OutVar] = {OutFirst, Ctx.numAllStates() - OutFirst};
 }
 
 void PlanExecutor::execScan(const PlanStmt &St, ExecContext &Ctx) const {
   const auto &E = Decomp->edge(St.Edge);
+  const std::vector<ColumnId> &Cols = EdgeCols[St.Edge];
+  const unsigned N = static_cast<unsigned>(Cols.size());
   ExecContext::VarRange R = Ctx.Vars[St.InVar];
   uint32_t OutFirst = Ctx.numAllStates();
   for (uint32_t I = 0; I < R.Count; ++I) {
@@ -240,21 +265,25 @@ void PlanExecutor::execScan(const PlanStmt &St, ExecContext &Ctx) const {
     uint32_t SrcIdx = Ctx.bindIdx(S, E.Src);
     if (SrcIdx == ExecContext::NoBinding)
       continue;
-    // The arenas may reallocate as the scan appends states: keep stable
-    // copies of what the visitor reads (the instance itself is heap
+    // The arenas may reallocate as the scan appends states: join against
+    // a recycled copy of the state's tuple (the instance itself is heap
     // storage, so its container reference stays valid).
-    Tuple InT = Ctx.Tuples[S];
+    Ctx.ScanInput = Ctx.Tuples[S];
+    const Tuple &InT = Ctx.ScanInput;
     uint32_t DstIdx = Ctx.bindIdx(S, E.Dst);
-    NodeInstPtr SrcInst = Ctx.Pool[SrcIdx];
-    SrcInst->containerFor(St.Edge).scan(
-        [&](const Tuple &Key, const NodeInstPtr &Val) {
-          if (!InT.matches(Key))
+    NodeInstance *Bound =
+        DstIdx == ExecContext::NoBinding ? nullptr : Ctx.Pool[DstIdx];
+    container(*Ctx.Pool[SrcIdx], St.Edge)
+        .scan([&](const Value *Key, NodeInstance *Val) {
+          if (!InT.matchesRow(Cols.data(), Key, N))
             return true; // filtered out by already-bound columns
-          if (DstIdx != ExecContext::NoBinding &&
-              Ctx.Pool[DstIdx].get() != Val.get())
+          if (Bound && Bound != Val)
             return true;
-          uint32_t NS = Ctx.pushStateJoinOf(InT, Key, S);
-          Ctx.setBind(NS, E.Dst, Ctx.intern(Val));
+          uint32_t ValIdx = Ctx.intern(Val);
+          if (ValIdx == ExecContext::NoBinding)
+            return true; // unlinked since the scan reached it
+          uint32_t NS = Ctx.pushStateJoinRow(InT, Cols.data(), Key, N, S);
+          Ctx.setBind(NS, E.Dst, ValIdx);
           return true;
         });
   }
@@ -275,30 +304,31 @@ ExecStatus PlanExecutor::execSpecLookup(const PlanStmt &St,
   const EdgePlacement &EP = Placement->edgePlacement(St.Edge);
   ExecContext::VarRange R = Ctx.Vars[St.InVar];
   uint32_t OutFirst = Ctx.numAllStates();
+  EdgeKey Key;
   for (uint32_t I = 0; I < R.Count; ++I) {
     uint32_t S = R.First + I;
     uint32_t SrcIdx = Ctx.bindIdx(S, E.Src);
     if (SrcIdx == ExecContext::NoBinding)
       continue;
-    Tuple Key = Ctx.Tuples[S].project(E.Cols);
-    const AnyContainer &Container = Ctx.Pool[SrcIdx]->containerFor(St.Edge);
+    Ctx.Tuples[S].valuesOf(E.Cols, Key.V);
+    const AnyContainer &Container = container(*Ctx.Pool[SrcIdx], St.Edge);
 
     // Guess via an unlocked read (safe: speculative placements require a
     // concurrency-safe container with linearizable lookups, §4.5), lock
     // the guessed location, then verify under the lock.
-    NodeInstPtr Guess;
-    bool Present = Container.lookup(Key, Guess);
-    if (Present) {
+    if (NodeInstance *Guess = Container.lookup(Key.V)) {
       // Pool the guess *before* locking it: the pool must keep the
       // instance (and its physical lock) alive through releaseAll even
-      // when the verify fails and the transaction restarts.
+      // when the verify fails and the transaction restarts. A guess
+      // already released by its last entry was unlinked: guess again.
       uint32_t GuessIdx = Ctx.intern(Guess);
+      if (GuessIdx == ExecContext::NoBinding)
+        return ExecStatus::Restart;
       LockOrderKey OKey = orderKey(E.Dst, *Guess, 0);
-      if (acquireStmt(Ctx, Guess->Stripes[0], OKey, St.Mode,
+      if (acquireStmt(Ctx, Guess->stripe(0), OKey, St.Mode,
                       /*SpecSite=*/true) != ExecStatus::Ok)
         return ExecStatus::Restart;
-      NodeInstPtr Recheck;
-      if (!Container.lookup(Key, Recheck) || Recheck.get() != Guess.get())
+      if (Container.lookup(Key.V) != Guess)
         return ExecStatus::Restart; // wrong guess: release all and retry
       uint32_t NS = Ctx.pushStateCopy(S);
       Ctx.setBind(NS, E.Dst, GuessIdx);
@@ -312,13 +342,12 @@ ExecStatus PlanExecutor::execSpecLookup(const PlanStmt &St,
            "speculative absent-case host instance unbound");
     NodeInstance &Host = *Ctx.Pool[HostIdx];
     uint32_t Stripe = stripeIndex(Ctx.Tuples[S], EP.StripeCols,
-                                  Host.NumStripes);
+                                  Host.numStripes());
     LockOrderKey OKey = orderKey(EP.Host, Host, Stripe);
-    if (acquireStmt(Ctx, Host.Stripes[Stripe], OKey, St.Mode,
+    if (acquireStmt(Ctx, Host.stripe(Stripe), OKey, St.Mode,
                     /*SpecSite=*/true) != ExecStatus::Ok)
       return ExecStatus::Restart;
-    NodeInstPtr Recheck;
-    if (Container.lookup(Key, Recheck))
+    if (Container.lookup(Key.V))
       return ExecStatus::Restart; // appeared while guessing
     // Verified absent under the absence lock: the state dies (no tuple),
     // and the held lock protects this negative observation (2PL).
@@ -337,6 +366,8 @@ ExecStatus PlanExecutor::execSpecScan(const PlanStmt &St,
     return ExecStatus::Ok;
   }
   const auto &E = Decomp->edge(St.Edge);
+  const std::vector<ColumnId> &Cols = EdgeCols[St.Edge];
+  const unsigned N = static_cast<unsigned>(Cols.size());
   ExecContext::VarRange R = Ctx.Vars[St.InVar];
   uint32_t OutFirst = Ctx.numAllStates();
   for (uint32_t I = 0; I < R.Count; ++I) {
@@ -345,34 +376,38 @@ ExecStatus PlanExecutor::execSpecScan(const PlanStmt &St,
     if (SrcIdx == ExecContext::NoBinding)
       continue;
     // The all-stripes host lock held by the preceding Lock statement
-    // excludes every writer of this edge, so entries are pinned; collect
-    // them, then lock targets in sorted (global) order.
+    // excludes every writer of this edge, so entries (and their inline
+    // keys) are pinned; collect them, then lock targets in sorted
+    // (global) order.
     struct Entry {
-      Tuple Key;
-      NodeInstPtr Val;
+      const Value *Key;
+      NodeInstance *Val;
     };
     std::vector<Entry> Entries;
-    Ctx.Pool[SrcIdx]->containerFor(St.Edge).scan(
-        [&](const Tuple &Key, const NodeInstPtr &Val) {
+    container(*Ctx.Pool[SrcIdx], St.Edge)
+        .scan([&](const Value *Key, NodeInstance *Val) {
           Entries.push_back({Key, Val});
           return true;
         });
     std::sort(Entries.begin(), Entries.end(),
-              [](const Entry &A, const Entry &B) {
-                return A.Key.compare(B.Key) < 0;
+              [N](const Entry &A, const Entry &B) {
+                return compareValues(A.Key, B.Key, N) < 0;
               });
-    Tuple InT = Ctx.Tuples[S];
+    Ctx.ScanInput = Ctx.Tuples[S];
+    const Tuple &InT = Ctx.ScanInput;
     for (Entry &En : Entries) {
-      if (!InT.matches(En.Key))
+      if (!InT.matchesRow(Cols.data(), En.Key, N))
         continue;
       // Pool before locking, like SpecLookup: the instance (and its
       // physical lock) must survive a transactional Restart's partial
       // release.
       uint32_t ValIdx = Ctx.intern(En.Val);
-      if (acquireStmt(Ctx, En.Val->Stripes[0], orderKey(E.Dst, *En.Val, 0),
+      assert(ValIdx != ExecContext::NoBinding &&
+             "an entry pinned by the host lock holds its instance");
+      if (acquireStmt(Ctx, En.Val->stripe(0), orderKey(E.Dst, *En.Val, 0),
                       St.Mode, /*SpecSite=*/false) != ExecStatus::Ok)
         return ExecStatus::Restart;
-      uint32_t NS = Ctx.pushStateJoinOf(InT, En.Key, S);
+      uint32_t NS = Ctx.pushStateJoinRow(InT, Cols.data(), En.Key, N, S);
       Ctx.setBind(NS, E.Dst, ValIdx);
     }
   }
@@ -384,6 +419,7 @@ void PlanExecutor::execProbe(const PlanStmt &St, ExecContext &Ctx) const {
   const auto &E = Decomp->edge(St.Edge);
   ExecContext::VarRange R = Ctx.Vars[St.InVar];
   uint32_t OutFirst = Ctx.numAllStates();
+  EdgeKey Key;
   for (uint32_t I = 0; I < R.Count; ++I) {
     uint32_t S = R.First + I;
     // Total: every state passes through, bound or not.
@@ -391,15 +427,17 @@ void PlanExecutor::execProbe(const PlanStmt &St, ExecContext &Ctx) const {
     uint32_t SrcIdx = Ctx.bindIdx(NS, E.Src);
     if (SrcIdx == ExecContext::NoBinding)
       continue; // absent subtree: created later
-    Tuple Key = Ctx.Tuples[NS].project(E.Cols);
-    NodeInstPtr Found;
-    if (!Ctx.Pool[SrcIdx]->containerFor(St.Edge).lookup(Key, Found))
+    Ctx.Tuples[NS].valuesOf(E.Cols, Key.V);
+    NodeInstance *Found = container(*Ctx.Pool[SrcIdx], St.Edge).lookup(Key.V);
+    if (!Found)
       continue;
     [[maybe_unused]] uint32_t DstIdx = Ctx.bindIdx(NS, E.Dst);
-    assert((DstIdx == ExecContext::NoBinding ||
-            Ctx.Pool[DstIdx].get() == Found.get()) &&
+    assert((DstIdx == ExecContext::NoBinding || Ctx.Pool[DstIdx] == Found) &&
            "inconsistent shared-node resolution");
-    Ctx.setBind(NS, E.Dst, Ctx.intern(std::move(Found)));
+    uint32_t FoundIdx = Ctx.intern(Found);
+    assert(FoundIdx != ExecContext::NoBinding &&
+           "a probed entry is held by the probe's locks");
+    Ctx.setBind(NS, E.Dst, FoundIdx);
   }
   Ctx.Vars[St.OutVar] = {OutFirst, Ctx.numAllStates() - OutFirst};
 }
@@ -421,28 +459,30 @@ void PlanExecutor::execCreateNode(const PlanStmt &St, ExecContext &Ctx) const {
   const auto &Node = Decomp->node(St.Node);
   ExecContext::VarRange R = Ctx.Vars[St.InVar];
   uint32_t OutFirst = Ctx.numAllStates();
+  Ctx.KeyScratch.resize(Node.KeyCols.size());
   for (uint32_t I = 0; I < R.Count; ++I) {
     uint32_t NS = Ctx.pushStateCopy(R.First + I);
     if (Ctx.bindIdx(NS, St.Node) != ExecContext::NoBinding)
       continue; // resolved in the locate phase
-    NodeInstPtr Inst =
-        NodeInstance::create(*Decomp, St.Node,
-                             Ctx.Tuples[NS].project(Node.KeyCols),
-                             Placement->nodeStripes(St.Node));
+    Ctx.Tuples[NS].valuesOf(Node.KeyCols, Ctx.KeyScratch.data());
+    NodeRef Inst =
+        NodeInstance::create(*Layouts[St.Node], Ctx.KeyScratch.data());
     // A fresh instance reached through a speculative edge must be locked
     // before any entry is published, or a guessing reader could observe
     // the uncommitted insert (§4.5 writer protocol). The instance is not
     // yet reachable, so the acquisition cannot block — take it through
     // the try path, which is exempt from the global-order discipline.
+    // Pooled first: the pool keeps the lock alive until its release.
+    uint32_t InstIdx = Ctx.intern(Inst.get());
     for (EdgeId E : Node.InEdges)
       if (Placement->edgePlacement(E).Speculative) {
         [[maybe_unused]] AcquireResult A = Ctx.Locks.tryAcquire(
-            Inst->Stripes[0], orderKey(St.Node, *Inst, 0),
+            Inst->stripe(0), orderKey(St.Node, *Inst, 0),
             LockMode::Exclusive);
         assert(A == AcquireResult::Ok &&
                "lock on an unpublished instance cannot be contended");
       }
-    Ctx.setBind(NS, St.Node, Ctx.intern(std::move(Inst)));
+    Ctx.setBind(NS, St.Node, InstIdx);
   }
   Ctx.Vars[St.OutVar] = {OutFirst, Ctx.numAllStates() - OutFirst};
 }
@@ -450,6 +490,7 @@ void PlanExecutor::execCreateNode(const PlanStmt &St, ExecContext &Ctx) const {
 void PlanExecutor::execInsertEdge(const PlanStmt &St, ExecContext &Ctx) const {
   const auto &E = Decomp->edge(St.Edge);
   ExecContext::VarRange R = Ctx.Vars[St.InVar];
+  EdgeKey Key;
   for (uint32_t I = 0; I < R.Count; ++I) {
     uint32_t S = R.First + I;
     uint32_t SrcIdx = Ctx.bindIdx(S, E.Src);
@@ -459,14 +500,16 @@ void PlanExecutor::execInsertEdge(const PlanStmt &St, ExecContext &Ctx) const {
            "insert-entry with unbound endpoints");
     if (SrcIdx == ExecContext::NoBinding || DstIdx == ExecContext::NoBinding)
       continue;
-    Ctx.Pool[SrcIdx]->containerFor(St.Edge).insertOrAssign(
-        Ctx.Tuples[S].project(E.Cols), Ctx.Pool[DstIdx]);
+    Ctx.Tuples[S].valuesOf(E.Cols, Key.V);
+    container(*Ctx.Pool[SrcIdx], St.Edge)
+        .insertOrAssign(Key.V, Ctx.Pool[DstIdx]);
   }
 }
 
 void PlanExecutor::execEraseEdge(const PlanStmt &St, ExecContext &Ctx) const {
   const auto &E = Decomp->edge(St.Edge);
   ExecContext::VarRange R = Ctx.Vars[St.InVar];
+  EdgeKey Key;
   for (uint32_t I = 0; I < R.Count; ++I) {
     uint32_t S = R.First + I;
     uint32_t DstIdx = Ctx.bindIdx(S, E.Dst);
@@ -482,15 +525,14 @@ void PlanExecutor::execEraseEdge(const PlanStmt &St, ExecContext &Ctx) const {
            "parent of a bound instance must be bound");
     if (SrcIdx == ExecContext::NoBinding)
       continue;
-    Ctx.Pool[SrcIdx]->containerFor(St.Edge).erase(
-        Ctx.Tuples[S].project(E.Cols));
+    Ctx.Tuples[S].valuesOf(E.Cols, Key.V);
+    container(*Ctx.Pool[SrcIdx], St.Edge).erase(Key.V);
   }
 }
 
 ExecStatus PlanExecutor::run(const Plan &Plan, const Tuple &Input,
-                             NodeInstPtr Root, ExecContext &Ctx) const {
-  Ctx.begin(Decomp->numNodes(), Plan.NumVars, Input, std::move(Root),
-            Decomp->root());
+                             NodeInstance *Root, ExecContext &Ctx) const {
+  Ctx.begin(Decomp->numNodes(), Plan.NumVars, Input, Root, Decomp->root());
 
   for (const PlanStmt &St : Plan.Stmts) {
     switch (St.K) {

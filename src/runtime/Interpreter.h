@@ -18,8 +18,9 @@
 /// variables are contiguous ranges over the arena (plans are in SSA
 /// form: each variable is produced by exactly one statement), so a
 /// statement is a linear pass over its input range — no per-statement
-/// vector-of-struct churn and no shared_ptr refcount traffic per copied
-/// binding.
+/// vector-of-struct churn and no reference-count traffic per copied
+/// binding. A warm operation allocates nothing: container keys are read
+/// from the state tuples into stack rows of values.
 ///
 /// Lock statements sort the physical locks they acquire into the global
 /// lock order (§5.1) before acquisition; speculative statements
@@ -33,6 +34,7 @@
 #define CRS_RUNTIME_INTERPRETER_H
 
 #include "plan/QueryIR.h"
+#include "rel/Tuple.h"
 #include "runtime/NodeInstance.h"
 #include "sync/LockSet.h"
 
@@ -67,11 +69,13 @@ public:
 };
 
 /// Reusable per-thread execution state. One operation at a time: run the
-/// plan, read the results, release the locks, then reset(). The instance
-/// pool keeps every bound node instance alive until reset() — this is
-/// what lets the shrinking phase unlock stripes of instances the plan
-/// just unlinked (POSIX forbids destroying a lock mid-unlock), so
-/// reset() must only be called *after* Locks.releaseAll().
+/// plan, read the results, release the locks, then reset(). A locked
+/// execution's instance pool pins every bound node instance (one
+/// reference each) until reset() — this is what lets the shrinking phase
+/// unlock stripes of instances the plan just unlinked (POSIX forbids
+/// destroying a lock mid-unlock), so reset() must only be called *after*
+/// Locks.releaseAll(). A lock-free execution pins nothing: its epoch
+/// guard keeps every instance it reached allocated (NodeInstance.h).
 class ExecContext {
 public:
   static constexpr uint32_t NoBinding = UINT32_MAX;
@@ -125,7 +129,7 @@ public:
   size_t poolMark() const { return Pool.size(); }
   void rollbackPool(size_t Mark) {
     assert(Mark <= Pool.size() && "pool mark from a different scope");
-    Pool.resize(Mark);
+    unpin(Mark);
   }
 
   /// The calling thread's execution context (one per thread, reused
@@ -247,8 +251,10 @@ public:
   /// @{
   /// State copying \p Src's tuple and binding row.
   uint32_t pushStateCopy(uint32_t Src);
-  /// State with tuple A ⋈ B (A.matches(B) required) and \p Src's row.
-  uint32_t pushStateJoinOf(const Tuple &A, const Tuple &B, uint32_t Src);
+  /// State with tuple A ∪ (\p Cols ↦ \p Vals) (A.matchesRow required)
+  /// and \p Src's row.
+  uint32_t pushStateJoinRow(const Tuple &A, const ColumnId *Cols,
+                            const Value *Vals, unsigned N, uint32_t Src);
   /// State with tuple π_C(Tuples[Src]) and an all-unbound binding row.
   uint32_t pushStateProjOf(uint32_t Src, ColumnSet C);
   /// @}
@@ -267,17 +273,27 @@ private:
   std::vector<Tuple> Tuples;
   uint32_t NumStates = 0;
   std::vector<uint32_t> Bind;    ///< arena: Stride pool indices per state
-  std::vector<NodeInstPtr> Pool; ///< bound instances; pins them for the op
+  /// Bound instances; pinned (one reference each) unless the pool was
+  /// started lock-free.
+  std::vector<NodeInstance *> Pool;
+  bool PoolPins = true;
   std::vector<VarRange> Vars;
   uint32_t Stride = 0;
   std::vector<ArgFrame> Frames;  ///< per-handle argument frames (sticky)
   Tuple InputScratch;            ///< prepared-execution input (sticky)
+  Tuple ScanInput;               ///< a scanned state's tuple (recycled)
+  struct LockReq {
+    LockOrderKey Key;
+    PhysicalLock *Lock;
+  };
+  std::vector<LockReq> LockReqs; ///< one Lock statement's requests
+  std::vector<Value> KeyScratch; ///< a new instance's key (recycled)
 
   /// Starts a fresh operation: state 0 = (Input, {root ↦ Root}). In
   /// transaction mode (Txn installed) the lock set and instance pool
   /// survive — only the state arena and variable table rewind.
   void begin(uint32_t NumNodes, PlanVar NumVars, const Tuple &Input,
-             NodeInstPtr Root, NodeId RootNode);
+             NodeInstance *Root, NodeId RootNode);
 
   uint32_t numAllStates() const { return NumStates; }
   uint32_t bindIdx(uint32_t State, NodeId N) const {
@@ -286,9 +302,22 @@ private:
   void setBind(uint32_t State, NodeId N, uint32_t PoolIdx) {
     Bind[size_t(State) * Stride + N] = PoolIdx;
   }
-  uint32_t intern(NodeInstPtr P) {
-    Pool.push_back(std::move(P));
+  /// Binds \p P into the pool, pinning it when the pool pins. Returns
+  /// NoBinding if \p P is already dead: its last reference dropped, as
+  /// an unlocked guess can observe (the epoch keeps its memory, not its
+  /// life).
+  uint32_t intern(NodeInstance *P) {
+    if (PoolPins && !P->tryAddRef())
+      return NoBinding;
+    Pool.push_back(P);
     return static_cast<uint32_t>(Pool.size() - 1);
+  }
+  /// Drops pool entries past \p Mark, unpinning them.
+  void unpin(size_t Mark) {
+    if (PoolPins)
+      for (size_t I = Mark; I < Pool.size(); ++I)
+        Pool[I]->release();
+    Pool.resize(Mark);
   }
   /// Claims the next arena slot (recycled object or fresh) with an
   /// uninitialized binding row; returns its state index.
@@ -307,13 +336,26 @@ public:
   /// Restart the caller must release and retry; on Found (insert) a
   /// tuple matching s already exists and no writes were applied.
   /// Results are the states of Plan.ResultVar, read via Ctx.
-  ExecStatus run(const Plan &Plan, const Tuple &Input, NodeInstPtr Root,
+  ExecStatus run(const Plan &Plan, const Tuple &Input, NodeInstance *Root,
                  ExecContext &Ctx) const;
+
+  /// A fresh, empty root instance of the decomposition.
+  NodeRef createRoot() const;
 
 private:
   const Decomposition *Decomp;
   const LockPlacement *Placement;
   std::vector<uint32_t> TopoIdx;
+  /// Per node: its instances' block layout.
+  std::vector<const InstanceLayout *> Layouts;
+  /// Per edge: its columns in ascending order, and its container's slot
+  /// in a source instance.
+  std::vector<std::vector<ColumnId>> EdgeCols;
+  std::vector<unsigned> OutSlot;
+
+  AnyContainer &container(const NodeInstance &Src, EdgeId E) const {
+    return Src.out(OutSlot[E]);
+  }
 
   LockOrderKey orderKey(NodeId Node, const NodeInstance &Inst,
                         uint32_t Stripe) const;

@@ -59,7 +59,7 @@ public:
   RepresentationConfig Config;
   QueryPlanner Planner;
   PlanExecutor Executor;
-  NodeInstPtr Root;
+  NodeRef Root;
   PlanCache Plans;
   std::atomic<uint64_t> MirroredInserts{0};
   std::atomic<uint64_t> MirroredRemoves{0};
@@ -67,11 +67,8 @@ public:
   explicit MirrorRep(RepresentationConfig C)
       : Config(std::move(C)),
         Planner(*Config.Decomp, *Config.Placement),
-        Executor(*Config.Decomp, *Config.Placement) {
-    const Decomposition &D = *Config.Decomp;
-    Root = NodeInstance::create(D, D.root(), Tuple(),
-                                Config.Placement->nodeStripes(D.root()));
-  }
+        Executor(*Config.Decomp, *Config.Placement),
+        Root(Executor.createRoot()) {}
 
   void mirror(PlanOp Op, ColumnSet DomS, const Tuple &Input) override {
     (Op == PlanOp::Insert ? MirroredInserts : MirroredRemoves)
@@ -103,7 +100,7 @@ public:
     // the cross-set lock order (source locks before target locks).
     Ctx.Locks.setOrderDomain(1, 0);
     Ctx.Count = nullptr;
-    ExecStatus St = Executor.run(*P, Input, Root, Ctx);
+    ExecStatus St = Executor.run(*P, Input, Root.get(), Ctx);
     assert(St != ExecStatus::Restart && "mutation plans never speculate");
     if (Op == PlanOp::Insert)
       return St == ExecStatus::Ok;
@@ -178,8 +175,7 @@ MigrationResult ConcurrentRelation::migrateTo(RepresentationConfig Target,
     }
     LiveMigration = std::move(Shadow);
     ActiveMirror.store(Rep, std::memory_order_release);
-    PlanEpoch.fetch_add(1, std::memory_order_seq_cst);
-    Plans.clear();
+    retirePlans();
     Phase.store(MigrationPhase::DualWrite, std::memory_order_release);
   }
   // Trace the phase transition (outside the barrier: the ring write is
@@ -215,8 +211,7 @@ MigrationResult ConcurrentRelation::migrateTo(RepresentationConfig Target,
       // it reclaims with the grace period like any other retiree.
       EpochDomain::global().retireObject(
           static_cast<detail::MirrorRep *>(R.LiveMigration.release()));
-      R.PlanEpoch.fetch_add(1, std::memory_order_seq_cst);
-      R.Plans.clear();
+      R.retirePlans();
       R.Phase.store(MigrationPhase::Idle, std::memory_order_release);
     }
   } Abort(*this);
@@ -250,7 +245,7 @@ MigrationResult ConcurrentRelation::migrateTo(RepresentationConfig Target,
     for (const Tuple &T : Snapshot) {
       for (unsigned Attempt = 0;; ++Attempt) {
         ExecContext::OpScope S(Ctx); // asserts: no backfill inside an op
-        if (Executor.run(*Member, T, Root, Ctx) == ExecStatus::Ok) {
+        if (Executor.run(*Member, T, Root.get(), Ctx) == ExecStatus::Ok) {
           if (Ctx.numStates(Member->ResultVar) != 0 &&
               Rep->apply(PlanOp::Insert, All, T))
             ++Res.Backfilled;
@@ -315,8 +310,7 @@ MigrationResult ConcurrentRelation::migrateTo(RepresentationConfig Target,
     Res.MirroredRemoves = Rep->MirroredRemoves.load(std::memory_order_relaxed);
     EpochDomain::global().retireObject(
         static_cast<detail::MirrorRep *>(LiveMigration.release()));
-    PlanEpoch.fetch_add(1, std::memory_order_seq_cst);
-    Plans.clear();
+    retirePlans();
     Phase.store(MigrationPhase::Idle, std::memory_order_release);
   }
   // Re-enable the fast path (unless the user had it off) only after

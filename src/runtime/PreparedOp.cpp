@@ -99,14 +99,18 @@ const Plan *PreparedOpImpl::rebindSlow() const {
   uint64_t Cur = Rel->planEpoch();
   if (BoundEpoch.load(std::memory_order_relaxed) == Cur)
     return BoundPlan.load(std::memory_order_relaxed);
-  // The epoch was observed (acquire) before resolving, so resolving
-  // sees at least the cache clear that preceded the bump: a plan bound
-  // as epoch Cur can never be a retired one. The cache makes the
-  // recompilation itself one counted miss per signature no matter how
-  // many threads rebind here.
+  // The epoch is bumped before the cache is cleared, so a plan resolved
+  // between the two may sit in the snapshot the clear retires: safe for
+  // this call (the caller's guard predates that retire), but not to
+  // cache as epoch Cur. Cache only when the clear that went with Cur was
+  // complete before resolving. The cache makes the recompilation itself
+  // one counted miss per signature no matter how many threads rebind.
+  bool Settled = Rel->PlansClearedAt.load(std::memory_order_seq_cst) == Cur;
   const Plan *P = Rel->resolvePlan(Op, DomS, Out);
-  BoundPlan.store(P, std::memory_order_relaxed);
-  BoundEpoch.store(Cur, std::memory_order_release);
+  if (Settled) {
+    BoundPlan.store(P, std::memory_order_relaxed);
+    BoundEpoch.store(Cur, std::memory_order_release);
+  }
   return P;
 }
 
@@ -126,9 +130,12 @@ const Plan *PreparedOpImpl::rebindForUpdateSlow() const {
   uint64_t Cur = Rel->planEpoch();
   if (BoundTxnEpoch.load(std::memory_order_relaxed) == Cur)
     return BoundTxnPlan.load(std::memory_order_relaxed);
+  bool Settled = Rel->PlansClearedAt.load(std::memory_order_seq_cst) == Cur;
   const Plan *P = Rel->resolvePlan(PlanOp::QueryForUpdate, DomS, Out);
-  BoundTxnPlan.store(P, std::memory_order_relaxed);
-  BoundTxnEpoch.store(Cur, std::memory_order_release);
+  if (Settled) {
+    BoundTxnPlan.store(P, std::memory_order_relaxed);
+    BoundTxnEpoch.store(Cur, std::memory_order_release);
+  }
   return P;
 }
 
@@ -140,12 +147,13 @@ const Plan *PreparedOpImpl::rebindForUpdateSlow() const {
 // snapshots reclaim through the epoch domain). Queries take the
 // wait-free path first: when fast reads are enabled and the bound plan
 // is epoch-eligible, the whole execution runs under an epoch guard
-// alone — no gate, no physical locks. Its shared writes are the
-// reference counts ExecContext::intern takes on each visited instance
-// and a query-counter stripe. The
-// fallback drops the guard before entering the gate: blocking on a
-// closed gate while pinning an epoch would deadlock the retirement
-// flip's synchronize.
+// alone — no gate, no physical locks, and no instance reference counts
+// (the guard keeps every visited instance allocated). Its one shared
+// write is a query-counter stripe, except on CowArrayMap edges, whose
+// lookups copy the snapshot and the entry's reference out of it (two
+// reference-count round trips). The fallback drops the guard before
+// entering the gate: blocking on a closed gate while pinning an epoch
+// would deadlock the retirement flip's synchronize.
 uint32_t
 PreparedOpImpl::runQuery(const Value *Args,
                          function_ref<void(const Tuple &)> Visit) const {

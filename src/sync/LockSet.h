@@ -18,7 +18,7 @@
 #ifndef CRS_SYNC_LOCKSET_H
 #define CRS_SYNC_LOCKSET_H
 
-#include "rel/Tuple.h"
+#include "rel/ValueKey.h"
 #include "sync/PhysicalLock.h"
 
 #include <memory>
@@ -28,11 +28,14 @@ namespace crs {
 
 /// The global total order on physical locks (paper §5.1): first a
 /// topological index of the decomposition node the lock is attached to,
-/// then the node instance's key tuple lexicographically, then the stripe
-/// number within the instance.
+/// then the node instance's key lexicographically, then the stripe
+/// number within the instance. All instances of one node share their
+/// key columns, so the key is compared as bare values: a view of the
+/// instance's inline key, valid while the instance is pinned (the
+/// executor pins every instance whose lock it holds).
 struct LockOrderKey {
   uint32_t NodeTopoIndex = 0;
-  Tuple InstanceKey;
+  ValueSpan InstanceKey;
   uint32_t Stripe = 0;
 
   int compare(const LockOrderKey &Other) const {

@@ -7,6 +7,7 @@
 
 #include "txn/MvccStore.h"
 
+#include "obs/MemoryLedger.h"
 #include "sync/CommitClock.h"
 #include "sync/Epoch.h"
 
@@ -250,11 +251,12 @@ MvccStore::snapshotQuery(const Tuple &S, uint64_t Snap,
     }
   };
   if (S.domain().containsAll(KeyCols)) {
-    // Point read: the primary directory resolves the one chain.
-    Tuple Key = S.project(KeyCols);
-    if (const Chain *C = Primary->find(Key.hash(), [&](const Chain *X) {
+    // Point read: the primary directory resolves the one chain. A chain
+    // key binds exactly KeyCols, so S extends it iff π_KeyCols(S) equals
+    // it — no projection is built.
+    if (const Chain *C = Primary->find(S.hashOf(KeyCols), [&](const Chain *X) {
           ++Local.LinksScanned;
-          return X->Key == Key;
+          return S.extends(X->Key);
         }))
       VisitChain(C);
   } else if (const Directory *D = directoryFor(S.domain())) {
@@ -345,6 +347,25 @@ size_t MvccStore::buckets() const {
        D = D->Next.load(std::memory_order_acquire))
     N += D->Links.buckets();
   return N;
+}
+
+void MvccStore::memoryBytes(uint64_t &Versions,
+                            uint64_t &Directories) const {
+  using obs::heapChunkBytes;
+  auto TupleBytes = [](ColumnSet C) {
+    return heapChunkBytes(C.size() * sizeof(std::pair<ColumnId, Value>));
+  };
+  Versions = liveVersions() *
+                 (heapChunkBytes(sizeof(Version)) + TupleBytes(AllCols)) +
+             Primary->entries() *
+                 (heapChunkBytes(sizeof(Chain)) + TupleBytes(KeyCols));
+  EpochDomain::Guard EG;
+  Directories = Primary->buckets() * sizeof(void *);
+  for (Directory *D = Dirs.load(std::memory_order_acquire); D;
+       D = D->Next.load(std::memory_order_acquire))
+    Directories += heapChunkBytes(sizeof(Directory)) +
+                   D->Links.buckets() * sizeof(void *) +
+                   D->Links.entries() * heapChunkBytes(sizeof(DirLink));
 }
 
 size_t

@@ -246,6 +246,10 @@ public:
   uint64_t removeNoops() const {
     return RemoveNoops.load(std::memory_order_relaxed);
   }
+  /// Heap bytes by layer (obs/MemoryLedger.h): \p Versions for the live
+  /// versions and their chains, \p Directories for the bucket arrays
+  /// and secondary-directory links. Pins its own epoch guard.
+  void memoryBytes(uint64_t &Versions, uint64_t &Directories) const;
   /// @}
 
 private:

@@ -267,7 +267,7 @@ bool Transaction::execOp(const PreparedOpImpl &Impl, const Value *Args,
   // by this cap so a stuck young holder can't pin a senior forever.
   unsigned SeniorityWaits = TryBudget * 8;
   for (;;) {
-    ExecStatus S = Rel->Executor.run(*P, Input, Rel->Root, *Ctx);
+    ExecStatus S = Rel->Executor.run(*P, Input, Rel->Root.get(), *Ctx);
     if (S != ExecStatus::Restart) {
       ++Ops;
       switch (Kind) {
@@ -562,7 +562,7 @@ void Transaction::rollbackUndo() {
     for (;;) {
       LockSet::Mark LockMark = Ctx->Locks.mark();
       size_t PoolMark = Ctx->poolMark();
-      ExecStatus S = Rel->Executor.run(*P, It->Full, Rel->Root, *Ctx);
+      ExecStatus S = Rel->Executor.run(*P, It->Full, Rel->Root.get(), *Ctx);
       if (S != ExecStatus::Restart) {
         // The inverse of an insert must find the inserted tuple (its
         // locks never left this scope); the inverse of a remove may see

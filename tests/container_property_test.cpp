@@ -35,14 +35,24 @@ const ContainerKind MapKinds[] = {
     ContainerKind::CowArrayMap,
 };
 
-Tuple keyOf(int64_t K) { return Tuple::of({{0, Value::ofInt(K)}}); }
+/// A one-column container key.
+struct keyOf {
+  Value V;
+  explicit keyOf(int64_t K) : V(Value::ofInt(K)) {}
+  operator const Value *() const { return &V; }
+};
+
+/// An instance with no key, containers or locks: a container value.
+NodeRef makeValue() {
+  return NodeInstance::create(InstanceLayout::get(0, {}, 0), nullptr);
+}
 
 class ContainerProperty : public ::testing::TestWithParam<ContainerKind> {};
 
 TEST_P(ContainerProperty, AgreesWithModelUnderRandomOps) {
-  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam());
+  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam(), 1);
   std::map<int64_t, NodeInstance *> Model;
-  std::map<int64_t, NodeInstPtr> Owned;
+  std::map<int64_t, NodeRef> Owned;
   Xoshiro256 Rng(0xC0FFEE ^ static_cast<uint64_t>(GetParam()));
 
   for (int Step = 0; Step < 2500; ++Step) {
@@ -50,8 +60,8 @@ TEST_P(ContainerProperty, AgreesWithModelUnderRandomOps) {
     int64_t K = static_cast<int64_t>(Rng.nextBounded(48));
     switch (Rng.nextBounded(4)) {
     case 0: {
-      NodeInstPtr V = std::make_shared<NodeInstance>();
-      bool A = C->insertOrAssign(keyOf(K), V);
+      NodeRef V = makeValue();
+      bool A = C->insertOrAssign(keyOf(K), V.get());
       bool B = Model.emplace(K, V.get()).second;
       if (!B)
         Model[K] = V.get();
@@ -65,18 +75,17 @@ TEST_P(ContainerProperty, AgreesWithModelUnderRandomOps) {
       break;
     }
     case 2: {
-      NodeInstPtr Out;
-      bool A = C->lookup(keyOf(K), Out);
+      NodeInstance *Out = C->lookup(keyOf(K));
       auto It = Model.find(K);
-      ASSERT_EQ(A, It != Model.end()) << "lookup step " << Step;
-      if (A)
-        ASSERT_EQ(Out.get(), It->second);
+      ASSERT_EQ(Out != nullptr, It != Model.end()) << "lookup step " << Step;
+      if (Out)
+        ASSERT_EQ(Out, It->second);
       break;
     }
     default: {
       std::map<int64_t, const NodeInstance *> Seen;
-      C->scan([&](const Tuple &Key, const NodeInstPtr &Val) {
-        Seen.emplace(Key.get(0).asInt(), Val.get());
+      C->scan([&](const Value *Key, NodeInstance *Val) {
+        Seen.emplace(Key[0].asInt(), Val);
         return true;
       });
       ASSERT_EQ(Seen.size(), Model.size()) << "scan step " << Step;
@@ -90,17 +99,18 @@ TEST_P(ContainerProperty, AgreesWithModelUnderRandomOps) {
 }
 
 TEST_P(ContainerProperty, ScanOrderMatchesTraits) {
-  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam());
+  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam(), 1);
   EpochDomain::Guard G;
   Xoshiro256 Rng(77);
+  NodeRef V = makeValue();
   for (int I = 0; I < 300; ++I)
     C->insertOrAssign(keyOf(static_cast<int64_t>(Rng.nextBounded(100000))),
-                      std::make_shared<NodeInstance>());
+                      V.get());
   bool Sorted = true;
   int64_t Prev = INT64_MIN;
   size_t Seen = 0;
-  C->scan([&](const Tuple &Key, const NodeInstPtr &) {
-    int64_t K = Key.get(0).asInt();
+  C->scan([&](const Value *Key, NodeInstance *) {
+    int64_t K = Key[0].asInt();
     if (K <= Prev)
       Sorted = false;
     Prev = K;
@@ -113,50 +123,48 @@ TEST_P(ContainerProperty, ScanOrderMatchesTraits) {
 }
 
 TEST_P(ContainerProperty, EraseToEmptyAndReuse) {
-  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam());
+  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam(), 1);
   EpochDomain::Guard G;
+  NodeRef V = makeValue();
   for (int Round = 0; Round < 5; ++Round) {
     for (int64_t K = 0; K < 64; ++K)
-      ASSERT_TRUE(C->insertOrAssign(keyOf(K),
-                                    std::make_shared<NodeInstance>()));
+      ASSERT_TRUE(C->insertOrAssign(keyOf(K), V.get()));
     ASSERT_EQ(C->size(), 64u);
     for (int64_t K = 63; K >= 0; --K)
       ASSERT_TRUE(C->erase(keyOf(K)));
     ASSERT_EQ(C->size(), 0u);
-    NodeInstPtr Out;
-    ASSERT_FALSE(C->lookup(keyOf(0), Out));
+    ASSERT_EQ(C->lookup(keyOf(0)), nullptr);
   }
 }
 
 TEST_P(ContainerProperty, ValuesKeepOwnersAlive) {
-  // The runtime relies on containers holding shared ownership: an
-  // instance reachable through an entry must not die. Once erased, it
-  // dies within a grace period (the concurrent kinds retire the entry
+  // The runtime relies on entries owning a reference: an instance
+  // reachable through an entry must not die. Once erased, the reference
+  // drops within a grace period (the concurrent kinds retire the entry
   // through the epoch domain; the others free it at once).
-  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam());
-  std::weak_ptr<NodeInstance> Weak;
+  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam(), 1);
+  NodeRef V = makeValue();
   {
     EpochDomain::Guard G;
-    NodeInstPtr V = std::make_shared<NodeInstance>();
-    Weak = V;
-    C->insertOrAssign(keyOf(7), std::move(V));
+    C->insertOrAssign(keyOf(7), V.get());
   }
-  EXPECT_FALSE(Weak.expired());
+  EXPECT_EQ(V->refs(), 2u);
   {
     EpochDomain::Guard G;
     C->erase(keyOf(7));
   }
   EpochDomain::global().synchronize();
-  EXPECT_TRUE(Weak.expired());
+  EXPECT_EQ(V->refs(), 1u);
 }
 
 TEST_P(ContainerProperty, EarlyStopVisitsPrefixOnly) {
-  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam());
+  std::unique_ptr<AnyContainer> C = AnyContainer::create(GetParam(), 1);
   EpochDomain::Guard G;
+  NodeRef V = makeValue();
   for (int64_t K = 0; K < 100; ++K)
-    C->insertOrAssign(keyOf(K), std::make_shared<NodeInstance>());
+    C->insertOrAssign(keyOf(K), V.get());
   int Visits = 0;
-  C->scan([&](const Tuple &, const NodeInstPtr &) { return ++Visits < 7; });
+  C->scan([&](const Value *, NodeInstance *) { return ++Visits < 7; });
   EXPECT_EQ(Visits, 7);
 }
 

@@ -546,41 +546,41 @@ TEST(CowArrayMapStress, SnapshotScansAreAtomic) {
 
 TEST(AnyContainer, AllKindsBehaveAsMaps) {
   EpochDomain::Guard G;
+  const InstanceLayout &Bare = InstanceLayout::get(0, {}, 0);
   for (ContainerKind Kind : AllContainerKinds) {
-    std::unique_ptr<AnyContainer> C = AnyContainer::create(Kind);
+    std::unique_ptr<AnyContainer> C = AnyContainer::create(Kind, 1);
     ASSERT_EQ(C->kind(), Kind);
-    Tuple K1 = Tuple::of({{0, Value::ofInt(1)}});
-    Tuple K2 = Tuple::of({{0, Value::ofInt(2)}});
-    NodeInstPtr V1 = std::make_shared<NodeInstance>();
-    NodeInstPtr V2 = std::make_shared<NodeInstance>();
+    Value K1 = Value::ofInt(1), K2 = Value::ofInt(2);
+    NodeRef V1 = NodeInstance::create(Bare, nullptr);
+    NodeRef V2 = NodeInstance::create(Bare, nullptr);
 
-    EXPECT_TRUE(C->insertOrAssign(K1, V1)) << containerKindName(Kind);
+    EXPECT_TRUE(C->insertOrAssign(&K1, V1.get())) << containerKindName(Kind);
     // SingletonCell cannot hold a second distinct key; every other kind
     // can.
     if (Kind != ContainerKind::SingletonCell) {
-      EXPECT_TRUE(C->insertOrAssign(K2, V2));
+      EXPECT_TRUE(C->insertOrAssign(&K2, V2.get()));
       EXPECT_EQ(C->size(), 2u);
     }
-    NodeInstPtr Out;
-    ASSERT_TRUE(C->lookup(K1, Out));
-    EXPECT_EQ(Out.get(), V1.get());
-    EXPECT_TRUE(C->erase(K1));
-    EXPECT_FALSE(C->erase(K1));
-    EXPECT_FALSE(C->lookup(K1, Out));
+    EXPECT_EQ(C->lookup(&K1), V1.get());
+    EXPECT_TRUE(C->erase(&K1));
+    EXPECT_FALSE(C->erase(&K1));
+    EXPECT_EQ(C->lookup(&K1), nullptr);
   }
 }
 
 TEST(AnyContainer, ScanVisitsEverything) {
   EpochDomain::Guard G;
+  NodeRef V = NodeInstance::create(InstanceLayout::get(0, {}, 0), nullptr);
   for (ContainerKind Kind : AllContainerKinds) {
     if (Kind == ContainerKind::SingletonCell)
       continue;
-    std::unique_ptr<AnyContainer> C = AnyContainer::create(Kind);
-    for (int64_t I = 0; I < 50; ++I)
-      C->insertOrAssign(Tuple::of({{0, Value::ofInt(I)}}),
-                        std::make_shared<NodeInstance>());
+    std::unique_ptr<AnyContainer> C = AnyContainer::create(Kind, 1);
+    for (int64_t I = 0; I < 50; ++I) {
+      Value K = Value::ofInt(I);
+      C->insertOrAssign(&K, V.get());
+    }
     size_t Seen = 0;
-    C->scan([&](const Tuple &, const NodeInstPtr &) {
+    C->scan([&](const Value *, NodeInstance *) {
       ++Seen;
       return true;
     });

@@ -7,6 +7,7 @@
 
 #include "decomp/Shapes.h"
 #include "lockplace/PlacementSchemes.h"
+#include "runtime/NodeInstance.h"
 
 #include <gtest/gtest.h>
 
@@ -142,6 +143,45 @@ TEST(Placement, ConstantStripeActsAsSerializer) {
   P.setEdge(1, {D.root(), ColumnSet::empty(), false});
   EXPECT_TRUE(P.allowsConcurrentAccess(0));
   EXPECT_FALSE(P.allowsConcurrentAccess(1));
+}
+
+TEST(InstanceStripes, OnlyPlacedNodesCarryLocks) {
+  // Split: rho hosts the level-1 edges (1024 stripes), u/v/w/y host
+  // their own out-edge, and the leaves x/z host nothing.
+  RelationSpec Spec = makeGraphSpec();
+  Decomposition D = makeGraphDecomposition(
+      Spec, GraphShape::Split,
+      {ContainerKind::ConcurrentHashMap, ContainerKind::ConcurrentSkipListMap});
+  LockPlacement P = makeStripedPlacement(D, 1024);
+  for (const auto &N : D.nodes()) {
+    uint32_t Want = N.Id == D.root() ? 1024 : N.OutEdges.empty() ? 0 : 1;
+    EXPECT_EQ(P.instanceStripes(N.Id), Want) << N.Name;
+    EXPECT_EQ(InstanceLayout::forNode(D, P, N.Id).NumStripes, Want) << N.Name;
+  }
+  // Coarse: only the root carries a lock.
+  LockPlacement C = makeCoarsePlacement(D);
+  for (const auto &N : D.nodes())
+    EXPECT_EQ(C.instanceStripes(N.Id), N.Id == D.root() ? 1u : 0u) << N.Name;
+}
+
+TEST(InstanceStripes, SpeculativeTargetsKeepTheirLock) {
+  // §4.5: present entries of a speculative edge are locked at the
+  // target instance, so the targets carry a lock although the edges
+  // they host are placed elsewhere.
+  RelationSpec Spec = makeGraphSpec();
+  Decomposition D = makeGraphDecomposition(
+      Spec, GraphShape::Stick,
+      {ContainerKind::ConcurrentHashMap, ContainerKind::ConcurrentHashMap});
+  LockPlacement P = makeSpeculativePlacement(D, 64);
+  for (const auto &E : D.edges()) {
+    if (!P.edgePlacement(E.Id).Speculative)
+      continue;
+    EXPECT_GE(P.instanceStripes(E.Dst), 1u) << D.node(E.Dst).Name;
+    EXPECT_GE(InstanceLayout::forNode(D, P, E.Dst).NumStripes, 1u);
+  }
+  NodeId Leaf = D.numNodes() - 1;
+  ASSERT_TRUE(D.node(Leaf).OutEdges.empty());
+  EXPECT_EQ(P.instanceStripes(Leaf), 0u);
 }
 
 TEST(Placement, SummaryString) {

@@ -32,6 +32,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <dirent.h>
 #include <fstream>
@@ -367,6 +370,63 @@ TEST(ObsRelation, AttachExportsLiveCountersDetachStops) {
                   .bind(1, Value::ofInt(0))
                   .bind(2, Value::ofInt(1))
                   .execute());
+}
+
+/// A tuner-style snapshot runs registry callbacks under the registry
+/// mutex while handles' first sampled executions take that mutex from
+/// inside the operation gate; no callback may wait for the gate, so
+/// both sides keep going. The ledger walk (which does close the gate)
+/// runs beside them too, and the gauges report its last figures.
+TEST(ObsRelation, SnapshotsRunBesideFirstSampledOperations) {
+  MetricsRegistry Reg;
+  Reg.setLatencySamplePeriod(1); // every execution is sampled
+  ConcurrentRelation R(splitStriped());
+  const RelationSpec &Spec = R.spec();
+  R.attachMetrics(Reg, "live");
+
+  std::atomic<bool> Done{false};
+  std::atomic<uint64_t> Snapshots{0};
+  std::thread Watchdog([&] {
+    for (int Tenths = 0; Tenths < 600 && !Done.load(); ++Tenths)
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    if (!Done.load()) {
+      std::fprintf(stderr, "snapshot and operations deadlocked\n");
+      std::abort(); // a hung test would stall the whole suite
+    }
+  });
+  std::thread Snapper([&] {
+    while (!Done.load()) {
+      Reg.snapshot();
+      Snapshots.fetch_add(1);
+    }
+  });
+  std::thread Ledger([&] {
+    while (!Done.load())
+      R.memoryLedger();
+  });
+  for (int64_t I = 0; I < 400; ++I) {
+    // A fresh handle resolves its latency histogram on first use.
+    PreparedInsert Ins = R.prepareInsert(Spec.cols({"src", "dst"}));
+    ASSERT_TRUE(Ins.bind(0, Value::ofInt(I))
+                    .bind(1, Value::ofInt(I % 7))
+                    .bind(2, Value::ofInt(I))
+                    .execute());
+  }
+  while (Snapshots.load() < 8)
+    std::this_thread::yield();
+  Done.store(true);
+  Snapper.join();
+  Ledger.join();
+  Watchdog.join();
+
+  obs::MemoryLedger L = R.memoryLedger();
+  MetricsSnapshot S = Reg.snapshot();
+  uint64_t Sum = 0;
+  for (const auto &G : S.Gauges)
+    if (G.Name == "relation.memory_bytes")
+      Sum += uint64_t(G.Value);
+  EXPECT_EQ(Sum, L.total());
+  R.detachMetrics();
 }
 
 TEST(ObsRelation, VersionStoreGrowthExported) {

@@ -139,6 +139,27 @@ TEST(Tuple, AssignFormsReuseStorage) {
   EXPECT_TRUE(Out.empty());
 }
 
+TEST(Tuple, RowsOfValuesAgreeWithTupleForms) {
+  // Instance and container keys are bare values over static columns;
+  // the row forms must agree with the tuple forms they replace.
+  Tuple A = Tuple::of({{0, Value::ofInt(1)}, {1, Value::ofInt(2)}});
+  Tuple B = Tuple::of({{1, Value::ofInt(2)}, {2, Value::ofInt(3)}});
+  const ColumnId Cols[] = {1, 2};
+  Value Row[2];
+  B.valuesOf(ColumnSet::of(1) | ColumnSet::of(2), Row);
+  EXPECT_EQ(Row[0].asInt(), 2);
+  EXPECT_EQ(Row[1].asInt(), 3);
+  EXPECT_EQ(A.hashOf(ColumnSet::of(1)), A.project(ColumnSet::of(1)).hash());
+  EXPECT_TRUE(A.matchesRow(Cols, Row, 2));
+  Tuple Out;
+  Out.assignUnionRow(A, Cols, Row, 2);
+  EXPECT_EQ(Out, A.unionWith(B));
+  const Value Clash[] = {Value::ofInt(9), Value::ofInt(3)};
+  EXPECT_FALSE(A.matchesRow(Cols, Clash, 2));
+  EXPECT_EQ(B.project(ColumnSet::of(1) | ColumnSet::of(2)).entries().capacity(),
+            2u); // exact size: no push_back growth
+}
+
 TEST(Tuple, RebindInPlace) {
   // Prepared-operation slot binding: same layout rebinds values without
   // rebuilding the entry sequence; a different layout rebuilds it.

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <thread>
 
 using namespace crs;
@@ -81,7 +82,10 @@ TEST(PhysicalLock, SharedAcquisitionsAreSampled) {
 // ---------------------------------------------------------------- LockSet
 
 LockOrderKey key(uint32_t Topo, int64_t K, uint32_t Stripe) {
-  return {Topo, Tuple::of({{0, Value::ofInt(K)}}), Stripe};
+  // A lock order key views its instance's key; keep the values alive.
+  thread_local std::deque<Value> Keys;
+  Keys.push_back(Value::ofInt(K));
+  return {Topo, {&Keys.back(), 1}, Stripe};
 }
 
 TEST(LockOrderKey, TotalOrder) {

@@ -687,8 +687,8 @@ TEST(LockOrderValidator, FlagsCrossSetInversions) {
   // Drive the validator directly (the LockSet hooks are debug-only;
   // this works in every build). Two domains: shard 0 and shard 1.
   int A = 0, B = 0; // stand-in set identities
-  LockOrderKey K1{1, Tuple(), 0};
-  LockOrderKey K2{2, Tuple(), 0};
+  LockOrderKey K1{1, {}, 0};
+  LockOrderKey K2{2, {}, 0};
   uint64_t Shard0 = 0, Shard1 = 1;
 
   LockOrderValidator::noteHeld(&A, Shard1, K1);
