@@ -104,26 +104,8 @@ double OnlineTuner::scoreRepresentation(
     double W = KindShare(KindOf(Sig.Op));
     if (W == 0.0)
       continue;
-    ColumnSet Dom = ColumnSet::fromBits(Sig.Dom);
-    Plan P;
-    switch (Sig.Op) {
-    case PlanOp::Query:
-      P = Planner.planQuery(Dom, ColumnSet::fromBits(Sig.Out));
-      break;
-    case PlanOp::QueryForUpdate:
-      P = Planner.planQueryForUpdate(Dom, ColumnSet::fromBits(Sig.Out));
-      break;
-    case PlanOp::Insert:
-      P = Planner.planInsert(Dom);
-      break;
-    case PlanOp::Remove:
-    case PlanOp::RemoveLocate:
-      P = Planner.planRemove(Dom);
-      break;
-    case PlanOp::UndoInsert:
-    case PlanOp::UndoRemove:
-      continue; // abort-path only; excluded from the served mix
-    }
+    Plan P = Planner.plan(Sig.Op, ColumnSet::fromBits(Sig.Dom),
+                          ColumnSet::fromBits(Sig.Out));
     SerialCost += W * Planner.cost(P);
   }
 
@@ -153,10 +135,21 @@ TuneTick OnlineTuner::tick() {
   OperationCounts Now = liveCounts();
   OperationCounts Delta{Now.Queries - LastCounts.Queries,
                         Now.Inserts - LastCounts.Inserts,
-                        Now.Removes - LastCounts.Removes};
+                        Now.Removes - LastCounts.Removes,
+                        Now.LockAcquisitions - LastCounts.LockAcquisitions,
+                        Now.LockContentions - LastCounts.LockContentions};
   LastCounts = Now;
-  if (Delta.total() == 0)
-    Delta = Now; // idle interval: fall back to the lifetime mix
+  // An idle interval falls back to the lifetime mix, and one that took
+  // no lock to the lifetime contention.
+  if (Delta.total() == 0) {
+    Delta.Queries = Now.Queries;
+    Delta.Inserts = Now.Inserts;
+    Delta.Removes = Now.Removes;
+  }
+  if (Delta.LockAcquisitions == 0) {
+    Delta.LockAcquisitions = Now.LockAcquisitions;
+    Delta.LockContentions = Now.LockContentions;
+  }
 
   std::vector<PlanCache::Signature> Sigs = liveSignatures();
   if (Sigs.empty()) { // nothing served yet: nothing to score
@@ -190,28 +183,13 @@ TuneTick OnlineTuner::tick() {
     Measured.RootFanout = std::max(1.0, RootEnt / RootCont);
   if (InnerCont > 0)
     Measured.InnerFanout = std::max(1.0, InnerEnt / InnerCont);
-  // Contention, like the op mix, is diffed between ticks so decisions
-  // track the *live* load, not a populate phase's stale history. The
-  // cumulative counters can shrink (instances — and their counters —
-  // die with husk cleanup or a migration's swap): on shrink, restart
-  // the baseline from the current reading.
-  uint64_t Acq = 0, Cont = 0;
-  for (const NodeLockTraffic &N : Stats.Nodes) {
-    Acq += N.Acquisitions;
-    Cont += N.Contentions;
-  }
-  uint64_t AcqDelta = Acq >= LastAcquisitions ? Acq - LastAcquisitions : Acq;
-  uint64_t ContDelta = Cont >= LastContentions ? Cont - LastContentions : Cont;
-  LastAcquisitions = Acq;
-  LastContentions = Cont;
-  if (AcqDelta == 0) { // idle interval: fall back like the mix does
-    AcqDelta = Acq;
-    ContDelta = Cont;
-  }
+  // Contention comes from the same diff as the op mix, so decisions
+  // track the *live* load, not a populate phase's stale history.
   double ContentionRatio =
-      AcqDelta ? static_cast<double>(ContDelta) /
-                     static_cast<double>(AcqDelta)
-               : 0.0;
+      Delta.LockAcquisitions
+          ? static_cast<double>(Delta.LockContentions) /
+                static_cast<double>(Delta.LockAcquisitions)
+          : 0.0;
 
   // The cost of the *current deployment*. A sharded fleet mid-rollout
   // serves several configs at once (a canary shard on the winner, the
@@ -261,7 +239,7 @@ TuneTick OnlineTuner::tick() {
   // cumulative, so each tick diffs per-signature (count, sum) readings
   // against the previous tick's; a counter that shrank means the
   // relation re-attached its metrics (fresh histograms) and restarts
-  // the baseline, like the contention counters above.
+  // the baseline.
   double EffHysteresis = Cfg.HysteresisRatio;
   if (Cfg.Metrics) {
     uint64_t DCount = 0, DSum = 0;

@@ -146,9 +146,7 @@ private:
   ConcurrentRelation *Rel;          ///< null when tuning a sharded relation
   ShardedRelation *Sharded = nullptr; ///< null when tuning a single relation
   OnlineTunerConfig Cfg;
-  OperationCounts LastCounts;     ///< mix deltas between ticks
-  uint64_t LastAcquisitions = 0;  ///< contention deltas between ticks
-  uint64_t LastContentions = 0;
+  OperationCounts LastCounts; ///< mix and contention deltas between ticks
   std::string StreakBest;         ///< winner being confirmed
   unsigned Streak = 0;
   /// Last observed (count, sum-nanos) per relation.op_latency signature

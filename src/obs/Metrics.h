@@ -14,9 +14,9 @@
 ///
 /// The overhead argument mirrors the rest of the runtime:
 ///
-///  - Counters are cache-line-striped exactly like the runtime's
-///    StripedCounter — an increment is one relaxed fetch_add on a
-///    per-stripe private line, never a shared-line RMW.
+///  - Counters (obs/Counter.h) are cache-line-striped — an increment
+///    is one relaxed fetch_add on a per-stripe private line, never a
+///    shared-line RMW.
 ///  - Histograms record in one relaxed fetch_add per sample: the value
 ///    indexes a power-of-two bucket (floor(log2 nanos)) in a striped
 ///    bucket array. p50/p95/p99 come out of the bucket counts at
@@ -24,8 +24,7 @@
 ///  - Hot paths that cannot afford even a clock read per operation
 ///    (prepared-op latency) *sample*: maybeSampleStart() charges one
 ///    thread-local countdown per call and reads the clock only every
-///    latencySamplePeriod()-th operation — the same dilution PR 6 used
-///    for the shared-lock counters.
+///    latencySamplePeriod()-th operation.
 ///  - Registration (counter()/histogram()/addCallback()) takes a mutex
 ///    and allocates; it happens once per metric, never per operation.
 ///    Returned references are stable for the registry's lifetime.
@@ -42,6 +41,7 @@
 #ifndef CRS_OBS_METRICS_H
 #define CRS_OBS_METRICS_H
 
+#include "obs/Counter.h"
 #include "obs/EventRing.h"
 
 #include <atomic>
@@ -61,35 +61,6 @@ namespace obs {
 /// is preserved and significant for identity: register with a
 /// consistent label order.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
-
-/// A cache-line-striped relaxed counter (the registry-owned twin of
-/// runtime/Statistics.h's StripedCounter, with an add() for byte-sized
-/// increments). Monotonic; readers diff successive loads.
-class Counter {
-public:
-  void inc(uint64_t N = 1) {
-    Stripes[threadStripe()].N.fetch_add(N, std::memory_order_relaxed);
-  }
-  uint64_t load() const {
-    uint64_t Sum = 0;
-    for (const Stripe &S : Stripes)
-      Sum += S.N.load(std::memory_order_relaxed);
-    return Sum;
-  }
-
-private:
-  static constexpr unsigned NumStripes = 16;
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> N{0};
-  };
-  static unsigned threadStripe() {
-    static std::atomic<unsigned> Next{0};
-    static thread_local const unsigned Mine =
-        Next.fetch_add(1, std::memory_order_relaxed) % NumStripes;
-    return Mine;
-  }
-  Stripe Stripes[NumStripes];
-};
 
 /// A last-writer-wins signed level (queue depths, watermarks). Not
 /// striped: gauges are set from cold paths.
@@ -164,7 +135,7 @@ private:
 
 /// One registry capture: every metric's value, every ring's recent
 /// events, at roughly one instant (counters are relaxed, so "roughly"
-/// is the contract — see StripedCounter).
+/// is the contract — see obs::Counter).
 struct MetricsSnapshot {
   struct CounterSample {
     std::string Name;

@@ -645,6 +645,26 @@ Plan QueryPlanner::planQueryForUpdate(ColumnSet DomS, ColumnSet C) const {
   return P;
 }
 
+Plan QueryPlanner::plan(PlanOp Op, ColumnSet DomS, ColumnSet C) const {
+  switch (Op) {
+  case PlanOp::Query:
+    return planQuery(DomS, C);
+  case PlanOp::RemoveLocate:
+    return planRemoveLocate(DomS);
+  case PlanOp::Remove:
+    return planRemove(DomS);
+  case PlanOp::Insert:
+    return planInsert(DomS);
+  case PlanOp::QueryForUpdate:
+    return planQueryForUpdate(DomS, C);
+  case PlanOp::UndoInsert:
+    return planUndoInsert();
+  case PlanOp::UndoRemove:
+    return planUndoRemove();
+  }
+  crs_unreachable("unknown plan op");
+}
+
 Plan QueryPlanner::planUndoInsert() const {
   // The compensating remove executes with the undo log's *full* tuple:
   // keyed on every column, each locate step is a lookup and each

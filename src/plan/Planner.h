@@ -93,6 +93,12 @@ public:
 
   /// @}
 
+  /// Compiles the plan for signature (\p Op, \p DomS, \p C): the one
+  /// dispatch over the plan* entry points above. \p C is read by the
+  /// two query kinds only, and the undo kinds ignore \p DomS (they key
+  /// on every column).
+  Plan plan(PlanOp Op, ColumnSet DomS, ColumnSet C) const;
+
   double cost(const Plan &P) const { return estimatePlanCost(P, Params); }
 
   const CostParams &costParams() const { return Params; }

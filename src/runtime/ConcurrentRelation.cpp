@@ -71,75 +71,28 @@ ConcurrentRelation::ConcurrentRelation(RepresentationConfig Cfg,
 // and backfill executions.
 using OpScope = ExecContext::OpScope;
 
-// Compile lambdas stamp the plan with the recompilation epoch observed
-// under PlannerMutex: adaptPlans() swaps the planner while holding the
-// same mutex and bumps the epoch only afterwards, so a plan stamped
-// with the new epoch was necessarily produced by the new planner.
-const Plan *ConcurrentRelation::queryPlanFor(ColumnSet DomS,
-                                             ColumnSet C) const {
-  return Plans.getOrCompile(PlanOp::Query, DomS.bits(), C.bits(), [&] {
+// The compile lambda stamps the plan with the recompilation epoch
+// observed under PlannerMutex: adaptPlans() swaps the planner while
+// holding the same mutex and bumps the epoch only afterwards, so a plan
+// stamped with the new epoch was necessarily produced by the new planner.
+const Plan *ConcurrentRelation::resolvePlan(PlanOp Op, ColumnSet DomS,
+                                            ColumnSet C) const {
+  assert(Op != PlanOp::RemoveLocate && "unpreparable operation");
+  bool Read = Op == PlanOp::Query || Op == PlanOp::QueryForUpdate;
+  if (!Read)
+    C = ColumnSet();
+  if (Op == PlanOp::UndoInsert || Op == PlanOp::UndoRemove)
+    DomS = spec().allColumns();
+  return Plans.getOrCompile(Op, DomS.bits(), C.bits(), [&] {
     std::lock_guard<std::mutex> Guard(PlannerMutex);
-    Plan P = Planner.planQuery(DomS, C);
+    Plan P = Planner.plan(Op, DomS, C);
     P.Epoch = PlanEpoch.load(std::memory_order_relaxed);
-    // A compiled query signature is the declaration that the relation
+    // A compiled read signature is the declaration that the relation
     // serves this access path: give the version store the same one, so
     // snapshot reads binding DomS walk a secondary chain directory
     // instead of the whole store. Cold path — once per signature.
-    Mvcc->ensureDirectory(DomS);
-    return P;
-  });
-}
-
-const Plan *ConcurrentRelation::removePlanFor(ColumnSet DomS) const {
-  return Plans.getOrCompile(PlanOp::Remove, DomS.bits(), 0, [&] {
-    std::lock_guard<std::mutex> Guard(PlannerMutex);
-    Plan P = Planner.planRemove(DomS);
-    P.Epoch = PlanEpoch.load(std::memory_order_relaxed);
-    return P;
-  });
-}
-
-const Plan *ConcurrentRelation::insertPlanFor(ColumnSet DomS) const {
-  return Plans.getOrCompile(PlanOp::Insert, DomS.bits(), 0, [&] {
-    std::lock_guard<std::mutex> Guard(PlannerMutex);
-    Plan P = Planner.planInsert(DomS);
-    P.Epoch = PlanEpoch.load(std::memory_order_relaxed);
-    return P;
-  });
-}
-
-const Plan *ConcurrentRelation::queryForUpdatePlanFor(ColumnSet DomS,
-                                                      ColumnSet C) const {
-  return Plans.getOrCompile(PlanOp::QueryForUpdate, DomS.bits(), C.bits(),
-                            [&] {
-                              std::lock_guard<std::mutex> Guard(PlannerMutex);
-                              Plan P = Planner.planQueryForUpdate(DomS, C);
-                              P.Epoch =
-                                  PlanEpoch.load(std::memory_order_relaxed);
-                              // Same signature surfacing as queryPlanFor:
-                              // a for-update read shape is a shape
-                              // snapshot reads will serve too.
-                              Mvcc->ensureDirectory(DomS);
-                              return P;
-                            });
-}
-
-const Plan *ConcurrentRelation::undoInsertPlan() const {
-  ColumnSet All = spec().allColumns();
-  return Plans.getOrCompile(PlanOp::UndoInsert, All.bits(), 0, [&] {
-    std::lock_guard<std::mutex> Guard(PlannerMutex);
-    Plan P = Planner.planUndoInsert();
-    P.Epoch = PlanEpoch.load(std::memory_order_relaxed);
-    return P;
-  });
-}
-
-const Plan *ConcurrentRelation::undoRemovePlan() const {
-  ColumnSet All = spec().allColumns();
-  return Plans.getOrCompile(PlanOp::UndoRemove, All.bits(), 0, [&] {
-    std::lock_guard<std::mutex> Guard(PlannerMutex);
-    Plan P = Planner.planUndoRemove();
-    P.Epoch = PlanEpoch.load(std::memory_order_relaxed);
+    if (Read)
+      Mvcc->ensureDirectory(DomS);
     return P;
   });
 }
@@ -151,55 +104,32 @@ void ConcurrentRelation::retirePlans() {
   PlansClearedAt.store(E, std::memory_order_seq_cst);
 }
 
-const Plan *ConcurrentRelation::resolvePlan(PlanOp Op, ColumnSet DomS,
-                                            ColumnSet C) const {
-  switch (Op) {
-  case PlanOp::Query:
-    return queryPlanFor(DomS, C);
-  case PlanOp::Insert:
-    return insertPlanFor(DomS);
-  case PlanOp::Remove:
-    return removePlanFor(DomS);
-  case PlanOp::QueryForUpdate:
-    return queryForUpdatePlanFor(DomS, C);
-  case PlanOp::UndoInsert:
-    return undoInsertPlan();
-  case PlanOp::UndoRemove:
-    return undoRemovePlan();
-  case PlanOp::RemoveLocate:
-    break;
-  }
-  assert(false && "unpreparable operation");
-  return nullptr;
-}
-
 // Explain paths hold an epoch guard across resolve + render: plan
 // snapshots reclaim on quiescence, so any dereference of a cached plan
 // must pin the epoch (the same rule as the execution paths).
 std::string ConcurrentRelation::explainQuery(ColumnSet DomS,
                                              ColumnSet C) const {
   EpochDomain::Guard EG;
-  return queryPlanFor(DomS, C)->str();
+  return resolvePlan(PlanOp::Query, DomS, C)->str();
 }
 
 std::string ConcurrentRelation::explainRemove(ColumnSet DomS) const {
   EpochDomain::Guard EG;
-  return removePlanFor(DomS)->str();
+  return resolvePlan(PlanOp::Remove, DomS)->str();
 }
 
 std::string ConcurrentRelation::explainInsert(ColumnSet DomS) const {
   EpochDomain::Guard EG;
-  return insertPlanFor(DomS)->str();
+  return resolvePlan(PlanOp::Insert, DomS)->str();
 }
 
 std::string ConcurrentRelation::explainTxn(PlanOp Op, ColumnSet DomS) const {
   assert((Op == PlanOp::Insert || Op == PlanOp::Remove) &&
          "explainTxn takes a mutation kind");
   EpochDomain::Guard EG;
-  const Plan *Forward =
-      Op == PlanOp::Insert ? insertPlanFor(DomS) : removePlanFor(DomS);
-  const Plan *Inverse =
-      Op == PlanOp::Insert ? undoInsertPlan() : undoRemovePlan();
+  const Plan *Forward = resolvePlan(Op, DomS);
+  const Plan *Inverse = resolvePlan(
+      Op == PlanOp::Insert ? PlanOp::UndoInsert : PlanOp::UndoRemove, DomS);
   return crs::explainTxn(*Forward, *Inverse);
 }
 
@@ -211,6 +141,7 @@ ConcurrentRelation::runQueryPlan(const Plan &P, const Tuple &Input,
   NumQueries.inc();
   ExecContext &Ctx = ExecContext::current();
   Ctx.Locks.setOrderDomain(0, LockDomain);
+  Ctx.Locks.countInto(&LockCounts);
   for (unsigned Attempt = 0;; ++Attempt) {
     OpScope Scope(Ctx);
     if (Executor.run(P, Input, Root.get(), Ctx) == ExecStatus::Ok) {
@@ -227,7 +158,7 @@ ConcurrentRelation::runQueryPlan(const Plan &P, const Tuple &Input,
     // Speculation failed (wrong guess or out-of-order conflict): release
     // everything (OpScope) and retry; yield under pressure.
     Scope.finish();
-    Restarts.fetch_add(1, std::memory_order_relaxed);
+    Restarts.inc();
     if (Attempt >= 16)
       std::this_thread::yield();
   }
@@ -239,6 +170,7 @@ unsigned ConcurrentRelation::runRemovePlan(const Plan &P, const Tuple &S) {
   NumRemoves.inc();
   ExecContext &Ctx = ExecContext::current();
   Ctx.Locks.setOrderDomain(0, LockDomain);
+  Ctx.Locks.countInto(&LockCounts);
   Ctx.Count = &Count;
   // Dual-write: plans compiled during a migration carry a MirrorWrite
   // epilogue that replays the committed mutation into this sink.
@@ -275,6 +207,7 @@ bool ConcurrentRelation::runInsertPlan(const Plan &P, const Tuple &Full) {
   NumInserts.inc();
   ExecContext &Ctx = ExecContext::current();
   Ctx.Locks.setOrderDomain(0, LockDomain);
+  Ctx.Locks.countInto(&LockCounts);
   Ctx.Count = &Count;
   Ctx.Mirror = ActiveMirror.load(std::memory_order_acquire);
   OpScope Scope(Ctx);
@@ -348,11 +281,11 @@ std::vector<Tuple> ConcurrentRelation::query(const Tuple &S,
                                              ColumnSet C) const {
   std::vector<Tuple> Out;
   auto Push = [&](const Tuple &T) { Out.push_back(T.project(C)); };
-  if (!tryFastQuery([&] { return queryPlanFor(S.domain(), C); }, S, Push,
-                    nullptr)) {
+  auto Resolve = [&] { return resolvePlan(PlanOp::Query, S.domain(), C); };
+  if (!tryFastQuery(Resolve, S, Push, nullptr)) {
     OpGate::Scope G(Gate);
     EpochDomain::Guard EG;
-    runQueryPlan(*queryPlanFor(S.domain(), C), S, Push);
+    runQueryPlan(*Resolve(), S, Push);
   }
   std::sort(Out.begin(), Out.end(), TupleLess());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
@@ -367,7 +300,7 @@ unsigned ConcurrentRelation::remove(const Tuple &S) {
   // read would race the flip (caught by TSan under legacy-op traffic).
   assert(spec().isKey(S.domain()) &&
          "remove requires s to be a key (paper §2)");
-  return runRemovePlan(*removePlanFor(S.domain()), S);
+  return runRemovePlan(*resolvePlan(PlanOp::Remove, S.domain()), S);
 }
 
 bool ConcurrentRelation::insert(const Tuple &S, const Tuple &T) {
@@ -379,7 +312,7 @@ bool ConcurrentRelation::insert(const Tuple &S, const Tuple &T) {
   // Inside the gate for the same reason as remove's key assert.
   assert(Full.domain() == spec().allColumns() &&
          "inserted tuple must value every column");
-  return runInsertPlan(*insertPlanFor(S.domain()), Full);
+  return runInsertPlan(*resolvePlan(PlanOp::Insert, S.domain()), Full);
 }
 
 /// One quiescent traversal step (consistency checking): extends each
@@ -473,8 +406,11 @@ void ConcurrentRelation::attachMetrics(obs::MetricsRegistry &Reg,
   Add("relation.queries", CK::Counter, [this] { return NumQueries.load(); });
   Add("relation.inserts", CK::Counter, [this] { return NumInserts.load(); });
   Add("relation.removes", CK::Counter, [this] { return NumRemoves.load(); });
-  Add("relation.restarts", CK::Counter,
-      [this] { return Restarts.load(std::memory_order_relaxed); });
+  Add("relation.restarts", CK::Counter, [this] { return Restarts.load(); });
+  Add("relation.lock_acquisitions", CK::Counter,
+      [this] { return LockCounts.Acquisitions.load(); });
+  Add("relation.lock_contentions", CK::Counter,
+      [this] { return LockCounts.Contentions.load(); });
   Add("relation.size", CK::Gauge, [this] { return uint64_t(size()); });
   Add("relation.plan_epoch", CK::Gauge, [this] { return planEpoch(); });
   Add("relation.plan_cache.hits", CK::Counter,
@@ -597,15 +533,8 @@ RelationStatistics ConcurrentRelation::collectStatistics() const {
   const Decomposition &D = *Config.Decomp;
   RelationStatistics Stats;
   Stats.Edges.resize(D.numEdges());
-  Stats.Nodes.resize(D.numNodes());
   forEachInstance(D, Root.get(), [&](NodeId N, const NodeInstance &Inst) {
     ++Stats.NodeInstances;
-    NodeLockTraffic &Traffic = Stats.Nodes[N];
-    ++Traffic.Instances;
-    for (uint32_t I = 0; I < Inst.numStripes(); ++I) {
-      Traffic.Acquisitions += Inst.stripe(I).acquisitions();
-      Traffic.Contentions += Inst.stripe(I).contentions();
-    }
     const std::vector<EdgeId> &Out = D.node(N).OutEdges;
     for (unsigned Slot = 0; Slot < Out.size(); ++Slot) {
       EdgeOccupancy &Occ = Stats.Edges[Out[Slot]];

@@ -166,7 +166,7 @@ public:
   std::string explainTxn(PlanOp Op, ColumnSet DomS) const;
 
   /// Total speculative / out-of-order transaction restarts so far.
-  uint64_t restarts() const { return Restarts.load(std::memory_order_relaxed); }
+  uint64_t restarts() const { return Restarts.load(); }
 
   /// Plan-cache compilation count (hot-path health: a warmed relation
   /// stops missing entirely). Prepared handles share this cache: a
@@ -189,7 +189,7 @@ public:
   ValidationResult verifyConsistency() const;
 
   /// Quiescent statistics snapshot: per-edge container occupancy and
-  /// per-node lock traffic. Must not race with mutations.
+  /// the live instance count. Must not race with mutations.
   RelationStatistics collectStatistics() const;
 
   /// Statistics-driven replanning: recompiles future plans against the
@@ -246,10 +246,12 @@ public:
   /// updates the `relation.memory_bytes` gauges attachMetrics exports.
   obs::MemoryLedger memoryLedger() const;
 
-  /// Cumulative per-kind operation counts (striped relaxed counters;
-  /// the online tuner diffs successive readings for the live mix).
+  /// Cumulative per-kind operation counts and physical-lock traffic
+  /// (striped relaxed counters; the online tuner diffs successive
+  /// readings for the live mix and contention ratio).
   OperationCounts operationCounts() const {
-    return {NumQueries.load(), NumInserts.load(), NumRemoves.load()};
+    return {NumQueries.load(), NumInserts.load(), NumRemoves.load(),
+            LockCounts.Acquisitions.load(), LockCounts.Contentions.load()};
   }
 
   /// The operation signatures currently compiled in the plan cache —
@@ -403,7 +405,12 @@ private:
   PlanExecutor Executor;
   NodeRef Root;
   std::atomic<size_t> Count{0};
-  mutable std::atomic<uint64_t> Restarts{0};
+  /// Speculative and wait-die restarts (restarts()).
+  mutable obs::Counter Restarts;
+  /// Physical-lock traffic of every locked execution on this relation
+  /// (LockSet::countInto), the source representation and a migration's
+  /// target alike. The epoch fast path takes no lock and counts none.
+  mutable LockCounters LockCounts;
   /// Cross-set lock-order domain ordinal (debug validator; see
   /// setLockDomainOrdinal).
   uint32_t LockDomain = 0;
@@ -438,14 +445,14 @@ private:
   mutable std::atomic<NodeInstance *> FastRoot{nullptr};
   std::atomic<bool> FastReads{true};
 
-  /// Per-kind operation counters, striped per thread (Statistics.h):
+  /// Per-kind operation counters, striped per thread (obs/Counter.h):
   /// bumped on the shared execution paths — a single shared counter
   /// line would bounce between every operating core, which the
   /// wait-free read path exists to avoid. Backfill's internal
   /// executions are not counted.
-  mutable StripedCounter NumQueries;
-  StripedCounter NumInserts;
-  StripedCounter NumRemoves;
+  mutable obs::Counter NumQueries;
+  obs::Counter NumInserts;
+  obs::Counter NumRemoves;
 
   /// Migration state (runtime/Migration.cpp). ActiveMirror is the sink
   /// mutation executions install into their context: non-null exactly
@@ -487,24 +494,18 @@ private:
   /// Striped: wait-die kills under contention would otherwise bounce
   /// one shared line between every aborting core.
   static constexpr unsigned NumAbortCauses = 6;
-  mutable StripedCounter AbortCounts[NumAbortCauses];
+  mutable obs::Counter AbortCounts[NumAbortCauses];
   /// The last memoryLedger() figures by layer, read by the gauges.
   mutable std::atomic<uint64_t> LedgerBytes[obs::MemoryLedger::NumLayers] =
       {};
 
-  const Plan *queryPlanFor(ColumnSet DomS, ColumnSet C) const;
-  const Plan *removePlanFor(ColumnSet DomS) const;
-  const Plan *insertPlanFor(ColumnSet DomS) const;
-  /// Transaction-support plans (src/txn): the exclusive-mode read plan
-  /// per (dom(s), C) signature, and the two inverse plans (one each per
-  /// relation — both key on the full tuple) a transaction's undo log
-  /// replays on abort. Cached like every other signature.
-  const Plan *queryForUpdatePlanFor(ColumnSet DomS, ColumnSet C) const;
-  const Plan *undoInsertPlan() const;
-  const Plan *undoRemovePlan() const;
-  /// Signature-keyed dispatch over the three compile paths (prepared
-  /// handles rebinding after adaptPlans()).
-  const Plan *resolvePlan(PlanOp Op, ColumnSet DomS, ColumnSet C) const;
+  /// The cached plan for signature (\p Op, \p DomS, \p C), compiled on
+  /// first use (QueryPlanner::plan). Mutations ignore \p C, and the two
+  /// undo kinds (a transaction's inverse plans, replayed on abort) key
+  /// on the full tuple whatever \p DomS says. Callers hold an epoch
+  /// guard across the call and every use of the plan.
+  const Plan *resolvePlan(PlanOp Op, ColumnSet DomS,
+                          ColumnSet C = ColumnSet()) const;
 
   /// The shared execution paths: both the legacy Tuple-based methods
   /// and the prepared handles funnel into these (the legacy API is a

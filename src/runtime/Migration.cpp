@@ -61,14 +61,17 @@ public:
   PlanExecutor Executor;
   NodeRef Root;
   PlanCache Plans;
+  /// The migrating relation's lock counters: the shadow's lock traffic
+  /// is the relation's.
+  LockCounters *Counters;
   std::atomic<uint64_t> MirroredInserts{0};
   std::atomic<uint64_t> MirroredRemoves{0};
 
-  explicit MirrorRep(RepresentationConfig C)
+  MirrorRep(RepresentationConfig C, LockCounters *Counters)
       : Config(std::move(C)),
         Planner(*Config.Decomp, *Config.Placement),
         Executor(*Config.Decomp, *Config.Placement),
-        Root(Executor.createRoot()) {}
+        Root(Executor.createRoot()), Counters(Counters) {}
 
   void mirror(PlanOp Op, ColumnSet DomS, const Tuple &Input) override {
     (Op == PlanOp::Insert ? MirroredInserts : MirroredRemoves)
@@ -91,14 +94,14 @@ public:
       // its plan* methods are const and stateless, so concurrent
       // compiles need no planner mutex — the cache serializes
       // publication per shard.
-      return Op == PlanOp::Insert ? Planner.planInsert(DomS)
-                                  : Planner.planRemove(DomS);
+      return Planner.plan(Op, DomS, ColumnSet());
     });
     ExecContext &Ctx = ExecContext::mirrorCtx();
     ExecContext::OpScope S(Ctx); // asserts against recursive shadow runs
     // Target-representation executions run above every source domain in
     // the cross-set lock order (source locks before target locks).
     Ctx.Locks.setOrderDomain(1, 0);
+    Ctx.Locks.countInto(Counters);
     Ctx.Count = nullptr;
     ExecStatus St = Executor.run(*P, Input, Root.get(), Ctx);
     assert(St != ExecStatus::Restart && "mutation plans never speculate");
@@ -153,7 +156,8 @@ MigrationResult ConcurrentRelation::migrateTo(RepresentationConfig Target,
       !V.ok())
     return Reject("illegal target: unsafe containers: " + V.str());
 
-  auto Shadow = std::make_unique<detail::MirrorRep>(std::move(Target));
+  auto Shadow = std::make_unique<detail::MirrorRep>(std::move(Target),
+                                                   &LockCounts);
   detail::MirrorRep *Rep = Shadow.get(); // concrete view; owned below
 
   // ---- Flip 1: enter dual-write. Behind the barrier no *gated*
@@ -238,9 +242,10 @@ MigrationResult ConcurrentRelation::migrateTo(RepresentationConfig Target,
     // either before the re-confirmation (copy skipped) or after the
     // shadow insert (its mirror erases the copy). Readers never block
     // on the backfill: it takes no exclusive source locks.
-    const Plan *Member = queryPlanFor(All, All);
+    const Plan *Member = resolvePlan(PlanOp::Query, All, All);
     ExecContext &Ctx = ExecContext::current();
     Ctx.Locks.setOrderDomain(0, LockDomain);
+    Ctx.Locks.countInto(&LockCounts);
     uint64_t Processed = 0;
     for (const Tuple &T : Snapshot) {
       for (unsigned Attempt = 0;; ++Attempt) {
@@ -252,7 +257,7 @@ MigrationResult ConcurrentRelation::migrateTo(RepresentationConfig Target,
           break;
         }
         // Speculative membership check lost its guess: restart it.
-        Restarts.fetch_add(1, std::memory_order_relaxed);
+        Restarts.inc();
         if (Attempt >= 16)
           std::this_thread::yield();
       }

@@ -36,8 +36,8 @@
 #ifndef CRS_RUNTIME_PLANCACHE_H
 #define CRS_RUNTIME_PLANCACHE_H
 
+#include "obs/Counter.h"
 #include "plan/QueryIR.h"
-#include "runtime/Statistics.h"
 #include "sync/Epoch.h"
 
 #include <atomic>
@@ -251,7 +251,7 @@ private:
 
   mutable Shard Shards[NumShards];
   /// Striped so the wait-free hit path touches no shared line.
-  mutable StripedCounter Hits;
+  mutable obs::Counter Hits;
 };
 
 } // namespace crs

@@ -121,6 +121,8 @@ OperationCounts ShardedRelation::operationCounts() const {
     Out.Queries += C.Queries;
     Out.Inserts += C.Inserts;
     Out.Removes += C.Removes;
+    Out.LockAcquisitions += C.LockAcquisitions;
+    Out.LockContentions += C.LockContentions;
   }
   return Out;
 }

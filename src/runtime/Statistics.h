@@ -6,14 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Measured statistics over a live decomposition instance. The data
-/// representation synthesis line of work drives its query planner with
-/// profiled statistics rather than static guesses; these structures
-/// carry (a) per-edge container occupancy — average fanout — which can
-/// be fed back into the cost model (CostParams::EdgeFanout) to replan
-/// with measured cardinalities, and (b) per-node physical-lock
-/// acquisition and contention counters, the §6 experiments' diagnostic
-/// for why coarse placements stop scaling.
+/// Measured statistics over a live relation. The data representation
+/// synthesis line of work drives its query planner with profiled
+/// statistics rather than static guesses. Two kinds live here: (a) the
+/// relation's cumulative event counts (OperationCounts, read off its
+/// obs::Counter tallies: the op mix and the physical-lock traffic, the
+/// §6 experiments' diagnostic for why coarse placements stop scaling),
+/// which the online tuner diffs between ticks; and (b) what only a walk
+/// of the structure can measure (RelationStatistics): per-edge container
+/// occupancy — average fanout — which can be fed back into the cost
+/// model (CostParams::EdgeFanout) to replan with measured cardinalities.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,54 +24,24 @@
 
 #include "plan/CostModel.h"
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace crs {
 
-/// A cache-line-striped relaxed event counter for hot per-operation
-/// counting. A single shared atomic turns every counted operation into
-/// an RMW on one line bouncing between all cores — the very effect the
-/// per-node lock striping exists to avoid. Here each thread hashes to
-/// one of a fixed set of line-padded stripes (round-robin assignment at
-/// first use, so up to NumStripes threads never collide at all); reads
-/// sum the stripes. Monotonic and relaxed: readers diff successive
-/// sums, exactness at an instant is not part of the contract.
-class StripedCounter {
-public:
-  void inc() {
-    Stripes[threadStripe()].N.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t load() const {
-    uint64_t Sum = 0;
-    for (const Stripe &S : Stripes)
-      Sum += S.N.load(std::memory_order_relaxed);
-    return Sum;
-  }
-
-private:
-  static constexpr unsigned NumStripes = 16;
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> N{0};
-  };
-  static unsigned threadStripe() {
-    static std::atomic<unsigned> Next{0};
-    static thread_local const unsigned Mine =
-        Next.fetch_add(1, std::memory_order_relaxed) % NumStripes;
-    return Mine;
-  }
-  Stripe Stripes[NumStripes];
-};
-
-/// Cumulative per-kind operation counts of one relation (relaxed
-/// counters on the execution paths). The online tuner reads deltas of
-/// these to estimate the live operation mix.
+/// Cumulative event counts of one relation (relaxed counters on the
+/// execution paths). The online tuner reads deltas of these to estimate
+/// the live operation mix and the lock contention ratio.
 struct OperationCounts {
   uint64_t Queries = 0;
   uint64_t Inserts = 0;
   uint64_t Removes = 0;
+  /// Physical locks newly taken by locked executions (exact).
+  uint64_t LockAcquisitions = 0;
+  /// Blocking acquisitions whose first try failed.
+  uint64_t LockContentions = 0;
+  /// Operations of the three kinds (lock traffic is not an operation).
   uint64_t total() const { return Queries + Inserts + Removes; }
 };
 
@@ -85,17 +57,9 @@ struct EdgeOccupancy {
   }
 };
 
-/// Lock traffic on all instances of one decomposition node.
-struct NodeLockTraffic {
-  uint64_t Instances = 0;
-  uint64_t Acquisitions = 0;
-  uint64_t Contentions = 0;
-};
-
 /// A quiescent snapshot of representation statistics.
 struct RelationStatistics {
-  std::vector<EdgeOccupancy> Edges;  ///< indexed by EdgeId
-  std::vector<NodeLockTraffic> Nodes; ///< indexed by NodeId
+  std::vector<EdgeOccupancy> Edges; ///< indexed by EdgeId
   uint64_t NodeInstances = 0;
 
   /// Folds measured fanouts into \p Base for statistics-driven
@@ -109,7 +73,7 @@ struct RelationStatistics {
 
   /// Folds \p Other into this snapshot element-wise (a sharded
   /// relation's per-shard statistics aggregating into one view). Edge
-  /// and node indices are summed positionally, which assumes the
+  /// indices are summed positionally, which assumes the
   /// snapshots come from the same decomposition; mid-way through a
   /// shard-at-a-time migration the shards briefly disagree, and the
   /// aggregate is then only an approximation — acceptable for the
@@ -120,13 +84,6 @@ struct RelationStatistics {
     for (size_t E = 0; E < Other.Edges.size(); ++E) {
       Edges[E].Containers += Other.Edges[E].Containers;
       Edges[E].Entries += Other.Edges[E].Entries;
-    }
-    if (Other.Nodes.size() > Nodes.size())
-      Nodes.resize(Other.Nodes.size());
-    for (size_t N = 0; N < Other.Nodes.size(); ++N) {
-      Nodes[N].Instances += Other.Nodes[N].Instances;
-      Nodes[N].Acquisitions += Other.Nodes[N].Acquisitions;
-      Nodes[N].Contentions += Other.Nodes[N].Contentions;
     }
     NodeInstances += Other.NodeInstances;
   }

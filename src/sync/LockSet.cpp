@@ -52,7 +52,13 @@ void LockSet::acquire(PhysicalLock &Lock, const LockOrderKey &Key,
          "blocking acquisition violates the cross-set (chained-op / "
          "cross-shard / source-before-target) lock order");
 #endif
-  Lock.lock(Mode);
+  if (Lock.lock(Mode) && Counters)
+    Counters->Contentions.inc();
+  noteAcquired(Lock, Key, Mode);
+}
+
+void LockSet::noteAcquired(PhysicalLock &Lock, const LockOrderKey &Key,
+                           LockMode Mode) {
   // Publish the scope's age to the owner table (wait-die): only
   // transaction scopes (non-zero stamp) holding exclusively, where a
   // loser of a future try needs to know who beat it.
@@ -63,6 +69,8 @@ void LockSet::acquire(PhysicalLock &Lock, const LockOrderKey &Key,
     MaxKey = Key;
     HasMaxKey = true;
   }
+  if (Counters)
+    Counters->Acquisitions.inc();
 #if CRS_VALIDATE_LOCK_ORDER
   LockOrderValidator::noteHeld(this, orderDomain(), MaxKey);
 #endif
@@ -85,16 +93,7 @@ AcquireResult LockSet::tryAcquire(PhysicalLock &Lock, const LockOrderKey &Key,
       LastConflict = Lock.ownerStamp();
     return AcquireResult::WouldBlock;
   }
-  if (BirthStamp != 0 && Mode == LockMode::Exclusive)
-    Lock.setOwnerStamp(BirthStamp);
-  Held.push_back({&Lock, Mode});
-  if (!HasMaxKey || MaxKey < Key) {
-    MaxKey = Key;
-    HasMaxKey = true;
-  }
-#if CRS_VALIDATE_LOCK_ORDER
-  LockOrderValidator::noteHeld(this, orderDomain(), MaxKey);
-#endif
+  noteAcquired(Lock, Key, Mode);
   return AcquireResult::Ok;
 }
 

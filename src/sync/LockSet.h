@@ -12,12 +12,16 @@
 /// acquisitions of the same physical lock (many logical locks map onto one
 /// physical lock under coarse placements), enforces the global lock order
 /// of §5.1 in debug builds, and releases everything in reverse order.
+/// It is also where lock traffic is counted: every lock it newly takes,
+/// and every blocking acquisition that had to wait, into the counters of
+/// the relation it runs for.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRS_SYNC_LOCKSET_H
 #define CRS_SYNC_LOCKSET_H
 
+#include "obs/Counter.h"
 #include "rel/ValueKey.h"
 #include "sync/PhysicalLock.h"
 
@@ -63,6 +67,15 @@ enum class TxnAcquire : uint8_t {
   Ok,         ///< lock held (newly acquired or already held sufficiently)
   WouldBlock, ///< out-of-order try failed; restart the op (wait-die)
   Upgrade,    ///< held shared, exclusive wanted: not upgradable — abort
+};
+
+/// A relation's physical-lock traffic (relation.lock_acquisitions and
+/// relation.lock_contentions): exact counts, each a relaxed add on a
+/// stripe private to the thread.
+struct LockCounters {
+  obs::Counter Acquisitions; ///< locks newly taken (re-requests of a held
+                             ///< lock are not counted)
+  obs::Counter Contentions;  ///< blocking acquisitions whose try failed
 };
 
 /// The set of physical locks one transaction currently holds.
@@ -182,6 +195,11 @@ public:
     return (static_cast<uint64_t>(DomainTier) << 32) | DomainOrdinal;
   }
 
+  /// Counts this set's lock traffic into \p C (null: not counted). Set
+  /// beside setOrderDomain by whoever runs a plan on the set's context,
+  /// since one thread's context serves every relation it touches.
+  void countInto(LockCounters *C) { Counters = C; }
+
 private:
   struct Entry {
     PhysicalLock *Lock;
@@ -195,7 +213,12 @@ private:
   LockOrderKey MaxKey;
   uint32_t DomainTier = 0;
   uint32_t DomainOrdinal = 0;
+  LockCounters *Counters = nullptr;
 
+  /// Records a newly taken \p Lock: owner stamp, Held, the order
+  /// high-water mark, and the acquisition count.
+  void noteAcquired(PhysicalLock &Lock, const LockOrderKey &Key,
+                    LockMode Mode);
   Entry *findEntry(const PhysicalLock &Lock);
   const Entry *findEntry(const PhysicalLock &Lock) const;
 };

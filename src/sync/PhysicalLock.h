@@ -27,63 +27,38 @@ namespace crs {
 /// access permits other shared holders (paper §4.2).
 enum class LockMode : uint8_t { Shared, Exclusive };
 
-/// A shared/exclusive lock with lightweight contention counters. The
-/// counters feed the experiment harness (lock-contention reporting).
-///
-/// Counting discipline: *exclusive* acquisitions count exactly — the
-/// acquirer serialized on the lock anyway, so one more relaxed RMW on
-/// the same line is free. *Shared* acquisitions are the scalable case
-/// (many readers, no mutual exclusion), and an exact counter would put
-/// a contended RMW on every one of them, re-serializing exactly the
-/// path the shared mode exists to scale; they are therefore *sampled*:
-/// each thread counts privately and credits the lock with
-/// SharedSamplePeriod acquisitions on every SharedSamplePeriod-th
-/// shared acquisition it performs (across all locks). acquisitions()
-/// is consequently an unbiased estimate on the shared side — it reads
-/// 0 under light traffic (fewer than a period's worth per thread), and
-/// an exact 0 means *no* exclusive and no sampled-in shared
-/// acquisitions at all, which is what the wait-free read-path tests
-/// assert. Contention events stay exact in both modes (they are rare
-/// by construction).
+/// A shared/exclusive lock plus the wait-die owner stamp: one cache line
+/// (a 56-B std::shared_mutex and an 8-B stamp on x86-64 glibc). Lock
+/// traffic is counted by the LockSet that acquires it, into its
+/// relation's counters (sync/LockSet.h), not on the lock: a per-lock
+/// counter would put a shared-line RMW on every shared acquisition and
+/// 16 more bytes on every lock stripe.
 class PhysicalLock {
 public:
-  /// Shared-side sampling period (a power of two): one credited batch
-  /// per this many per-thread shared acquisitions.
-  static constexpr uint64_t SharedSamplePeriod = 64;
-
   PhysicalLock() = default;
   PhysicalLock(const PhysicalLock &) = delete;
   PhysicalLock &operator=(const PhysicalLock &) = delete;
 
-  void lock(LockMode Mode) {
+  /// Blocking acquisition. Returns whether it had to wait: true when
+  /// the first try failed (a contention event).
+  bool lock(LockMode Mode) {
     if (Mode == LockMode::Exclusive) {
-      if (!Mutex.try_lock()) {
-        Contended.fetch_add(1, std::memory_order_relaxed);
-        Mutex.lock();
-      }
-      Acquired.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      if (!Mutex.try_lock_shared()) {
-        Contended.fetch_add(1, std::memory_order_relaxed);
-        Mutex.lock_shared();
-      }
-      countShared();
+      if (Mutex.try_lock())
+        return false;
+      Mutex.lock();
+      return true;
     }
+    if (Mutex.try_lock_shared())
+      return false;
+    Mutex.lock_shared();
+    return true;
   }
 
   /// Non-blocking acquisition; used for out-of-order speculative locking
   /// (§4.5) where blocking could deadlock.
   bool tryLock(LockMode Mode) {
-    if (Mode == LockMode::Exclusive) {
-      if (!Mutex.try_lock())
-        return false;
-      Acquired.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    if (!Mutex.try_lock_shared())
-      return false;
-    countShared();
-    return true;
+    return Mode == LockMode::Exclusive ? Mutex.try_lock()
+                                       : Mutex.try_lock_shared();
   }
 
   void unlock(LockMode Mode) {
@@ -91,15 +66,6 @@ public:
       Mutex.unlock();
     else
       Mutex.unlock_shared();
-  }
-
-  /// Exact exclusive acquisitions plus the sampled shared estimate (see
-  /// the class comment).
-  uint64_t acquisitions() const {
-    return Acquired.load(std::memory_order_relaxed);
-  }
-  uint64_t contentions() const {
-    return Contended.load(std::memory_order_relaxed);
   }
 
   /// \name Wait-die owner table (txn/Transaction.h)
@@ -124,15 +90,7 @@ public:
   /// @}
 
 private:
-  void countShared() {
-    static thread_local uint64_t Tick = 0;
-    if ((++Tick & (SharedSamplePeriod - 1)) == 0)
-      Acquired.fetch_add(SharedSamplePeriod, std::memory_order_relaxed);
-  }
-
   std::shared_mutex Mutex;
-  std::atomic<uint64_t> Acquired{0};
-  std::atomic<uint64_t> Contended{0};
   std::atomic<uint64_t> OwnerStamp{0};
 };
 

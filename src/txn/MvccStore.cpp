@@ -174,9 +174,9 @@ void MvccStore::installInsert(const Tuple &Full, uint64_t Seq) {
     V->Next.store(C->Head.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
     C->Head.store(V, std::memory_order_release);
-    Installed.fetch_add(1, std::memory_order_relaxed);
-    Retired.fetch_add(pruneChainLocked(C, snapshotWatermark()),
-                      std::memory_order_relaxed);
+    Installed.inc();
+    if (size_t Freed = pruneChainLocked(C, snapshotWatermark()))
+      Retired.inc(Freed);
   }
   if (Grow)
     grow(*Primary, ColumnSet(), [](const Chain *X) { return X->Key.hash(); });
@@ -202,8 +202,8 @@ void MvccStore::installRemove(const Tuple &Full, uint64_t Seq) {
     return;
   }
   Top->End.store(Seq, std::memory_order_release);
-  Retired.fetch_add(pruneChainLocked(C, snapshotWatermark()),
-                    std::memory_order_relaxed);
+  if (size_t Freed = pruneChainLocked(C, snapshotWatermark()))
+    Retired.inc(Freed);
 }
 
 MvccStore::Directory *MvccStore::directoryFor(ColumnSet QueryDom) const {
@@ -469,7 +469,7 @@ size_t MvccStore::prune(uint64_t Watermark) {
       Freed += pruneChainLocked(C, Watermark);
     });
   }
-  Retired.fetch_add(Freed, std::memory_order_relaxed);
+  Retired.inc(Freed);
   EpochDomain::global().tryAdvance();
   return Freed;
 }

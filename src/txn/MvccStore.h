@@ -95,6 +95,7 @@
 #define CRS_TXN_MVCCSTORE_H
 
 #include "containers/GrowableHashTable.h"
+#include "obs/Counter.h"
 #include "obs/EventRing.h"
 #include "rel/RelationSpec.h"
 #include "rel/Tuple.h"
@@ -222,12 +223,16 @@ public:
 
   /// \name Metrics (tests, reclamation-boundedness assertions)
   /// @{
-  uint64_t installed() const {
-    return Installed.load(std::memory_order_relaxed);
+  uint64_t installed() const { return Installed.load(); }
+  uint64_t retired() const { return Retired.load(); }
+  /// Versions currently linked (installed − retired). Under concurrent
+  /// writers the two sums are read at slightly different instants, so
+  /// the difference is clamped at 0.
+  uint64_t liveVersions() const {
+    uint64_t R = retired();
+    uint64_t I = installed();
+    return I > R ? I - R : 0;
   }
-  uint64_t retired() const { return Retired.load(std::memory_order_relaxed); }
-  /// Versions currently linked (installed − retired).
-  uint64_t liveVersions() const { return installed() - retired(); }
   /// Longest chain list hanging off one primary bucket right now — the
   /// hash-quality metric the stress lane bounds (a growing directory
   /// must not degrade into long intra-bucket lists). Pins its own epoch
@@ -284,8 +289,10 @@ private:
   ColumnSet AllCols;
   /// Chains by identity hash.
   std::unique_ptr<GrowableHashTable<Chain>> Primary;
-  std::atomic<uint64_t> Installed{0};
-  std::atomic<uint64_t> Retired{0};
+  /// Bumped on every bare write: striped, so writers on different
+  /// cores never share the line (the cold tallies below are plain).
+  obs::Counter Installed;
+  obs::Counter Retired;
   std::atomic<uint64_t> RemoveNoops{0};
   std::atomic<uint64_t> DirsRetired{0};
   std::atomic<uint64_t> Resizes{0};

@@ -151,6 +151,7 @@ Transaction::Transaction(ConcurrentRelation &R, const Opts &O)
   Ctx = txnCtxPool().acquire();
   Ctx->Txn = &Frame;
   Ctx->Locks.setOrderDomain(0, Rel->lockDomainOrdinal());
+  Ctx->Locks.countInto(&Rel->LockCounts);
   Ctx->Locks.setBirthStamp(BirthStamp);
 }
 
@@ -303,7 +304,7 @@ bool Transaction::execOp(const PreparedOpImpl &Impl, const Value *Args,
     Ctx->rollbackPool(PoolMark);
     Frame.MirrorBuf.resize(MirrorMark);
     ++Restarts;
-    Rel->Restarts.fetch_add(1, std::memory_order_relaxed);
+    Rel->Restarts.inc();
     if (Frame.SawUpgrade) {
       abortWith(TxnAbortCause::Upgrade);
       return false;
@@ -557,8 +558,8 @@ void Transaction::rollbackUndo() {
   // plans; the guard covers their resolution and replay.
   EpochDomain::Guard EG;
   for (auto It = Undo.rbegin(); It != Undo.rend(); ++It) {
-    const Plan *P =
-        It->WasInsert ? Rel->undoInsertPlan() : Rel->undoRemovePlan();
+    const Plan *P = Rel->resolvePlan(
+        It->WasInsert ? PlanOp::UndoInsert : PlanOp::UndoRemove, ColumnSet());
     for (;;) {
       LockSet::Mark LockMark = Ctx->Locks.mark();
       size_t PoolMark = Ctx->poolMark();

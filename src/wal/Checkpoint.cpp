@@ -259,19 +259,21 @@ RecoveryResult crs::recoverRelation(ConcurrentRelation &R,
     if (Rec.Shard != Shard || Rec.CommitSeq <= Res.CheckpointSeq)
       continue;
     ++Res.RecordsReplayed;
-    for (const WalMutation &M : Rec.Muts) {
-      ++Res.MutationsApplied;
-      if (M.Op == WalOp::Insert) {
-        if (!R.insert(M.Full, Tuple()))
-          ++Res.Anomalies;
-      } else {
-        if (R.remove(M.Full) == 0)
-          ++Res.Anomalies;
-      }
-    }
+    Res.MutationsApplied += Rec.Muts.size();
+    Res.Anomalies += replayWalRecord(R, Rec);
   }
   Res.Ok = true;
   return Res;
+}
+
+size_t crs::replayWalRecord(ConcurrentRelation &R, const WalRecord &Rec) {
+  size_t Anomalies = 0;
+  for (const WalMutation &M : Rec.Muts) {
+    bool Changed = M.Op == WalOp::Insert ? R.insert(M.Full, Tuple())
+                                         : R.remove(M.Full) != 0;
+    Anomalies += !Changed;
+  }
+  return Anomalies;
 }
 
 RecoveryResult crs::recoverShardedRelation(ShardedRelation &R,

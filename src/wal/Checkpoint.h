@@ -88,6 +88,12 @@ std::string checkpointPath(const std::string &Dir, uint32_t Shard,
 /// (by filename only — not validated), sorted ascending.
 std::vector<uint64_t> listCheckpoints(const std::string &Dir, uint32_t Shard);
 
+/// Applies \p Rec's mutations to \p R in order through the public
+/// put-if-absent API: the one WAL replay, shared by recovery and
+/// followers. Returns the anomalies — inserts that found the tuple
+/// already present and removes that found nothing.
+size_t replayWalRecord(ConcurrentRelation &R, const WalRecord &Rec);
+
 /// What one recovery did (per shard).
 struct RecoveryResult {
   bool Ok = false;

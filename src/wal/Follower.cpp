@@ -7,6 +7,8 @@
 
 #include "wal/Follower.h"
 
+#include "wal/Checkpoint.h"
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -140,15 +142,8 @@ void FollowerRelation::stop() {
 }
 
 void FollowerRelation::apply(const WalRecord &Rec) {
-  for (const WalMutation &M : Rec.Muts) {
-    if (M.Op == WalOp::Insert) {
-      if (!Replica.insert(M.Full, Tuple()))
-        Anomalies.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      if (Replica.remove(M.Full) == 0)
-        Anomalies.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  if (size_t N = replayWalRecord(Replica, Rec))
+    Anomalies.fetch_add(N, std::memory_order_relaxed);
   if (Rec.CommitSeq > AppliedSeq.load(std::memory_order_relaxed))
     AppliedSeq.store(Rec.CommitSeq, std::memory_order_release);
   AppliedRecords.fetch_add(1, std::memory_order_relaxed);

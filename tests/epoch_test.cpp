@@ -10,9 +10,9 @@
 /// nesting, grace periods, stalled readers, synchronize racing guard
 /// churn, destruction with a pending queue); the fast-path half checks
 /// the end-to-end property the layer buys: an epoch-eligible prepared
-/// query executes with zero lock acquisitions — assertable exactly,
-/// because shared-side lock counting is sampled and a path that never
-/// acquires can never be sampled (sync/PhysicalLock.h) — while
+/// query executes with zero lock acquisitions — asserted exactly on the
+/// relation's lock_acquisitions counter, which counts every lock a
+/// locked execution takes (sync/LockSet.h) — while
 /// ineligible plans and disabled relations fall back to the locked
 /// path, and readers racing removals, replans, and a live migration
 /// still agree with the stress oracle.
@@ -26,7 +26,6 @@
 #include "runtime/ConcurrentRelation.h"
 #include "runtime/PreparedOp.h"
 #include "sync/Epoch.h"
-#include "sync/PhysicalLock.h"
 
 #include <gtest/gtest.h>
 
@@ -210,12 +209,9 @@ RepresentationConfig allConcurrent(GraphShape Shape = GraphShape::Split) {
                                   ContainerKind::ConcurrentSkipListMap});
 }
 
-uint64_t totalAcquisitions(const ConcurrentRelation &R) {
-  RelationStatistics Stats = R.collectStatistics();
-  uint64_t A = 0;
-  for (const NodeLockTraffic &N : Stats.Nodes)
-    A += N.Acquisitions;
-  return A;
+/// The relation's relation.lock_acquisitions: exact, every lock counted.
+uint64_t lockAcquisitions(const ConcurrentRelation &R) {
+  return R.operationCounts().LockAcquisitions;
 }
 
 TEST(FastPath, EligibleQueryTakesZeroLockAcquisitions) {
@@ -236,25 +232,23 @@ TEST(FastPath, EligibleQueryTakesZeroLockAcquisitions) {
   // Warm the plan and check semantics first.
   EXPECT_EQ(Succ.bind(0, Value::ofInt(0)).count(), 8u);
 
-  // Shared-side lock counting is sampled per thread: a path that takes
-  // zero shared locks moves the sample tick by exactly zero, so the
-  // acquisition total is *exactly* unchanged — not merely "small" —
-  // across any number of fast reads. Run several full sample periods
-  // to make the contrast with the locked path unmistakable.
-  const uint64_t Before = totalAcquisitions(R);
-  constexpr int64_t Reads = 4 * PhysicalLock::SharedSamplePeriod;
-  for (int64_t I = 0; I < Reads; ++I)
-    EXPECT_EQ(Succ.bind(0, Value::ofInt(I % 4)).count(), 8u);
-  EXPECT_EQ(totalAcquisitions(R), Before)
+  // Lock acquisitions are counted exactly, so the total is unchanged —
+  // not merely "small" — across any number of fast reads.
+  const uint64_t Before = lockAcquisitions(R);
+  constexpr uint64_t Reads = 256;
+  for (uint64_t I = 0; I < Reads; ++I)
+    EXPECT_EQ(Succ.bind(0, Value::ofInt(int64_t(I % 4))).count(), 8u);
+  EXPECT_EQ(lockAcquisitions(R), Before)
       << "epoch-eligible prepared query acquired locks";
 
-  // The same handle on the locked path (fast reads disabled) does
-  // acquire: the sampled estimate must clear several periods.
+  // The same handle on the locked path (fast reads disabled) takes 10
+  // shared locks per call: the root's stripe for src, the u instance's
+  // one stripe, and the one stripe of each of the 8 w instances it
+  // scans (Split/Striped: w hosts the w->x edge).
   R.setFastReads(false);
-  for (int64_t I = 0; I < Reads; ++I)
-    EXPECT_EQ(Succ.bind(0, Value::ofInt(I % 4)).count(), 8u);
-  EXPECT_GT(totalAcquisitions(R),
-            Before + 2 * PhysicalLock::SharedSamplePeriod);
+  for (uint64_t I = 0; I < Reads; ++I)
+    EXPECT_EQ(Succ.bind(0, Value::ofInt(int64_t(I % 4))).count(), 8u);
+  EXPECT_EQ(lockAcquisitions(R), Before + Reads * 10);
 }
 
 TEST(FastPath, LegacyQueryAlsoTakesTheFastPath) {
@@ -267,10 +261,10 @@ TEST(FastPath, LegacyQueryAlsoTakesTheFastPath) {
   // Warm the signature, then measure.
   Tuple Q = Tuple::of({{Spec.col("src"), Value::ofInt(1)}});
   EXPECT_EQ(R.query(Q, Spec.cols({"dst", "weight"})).size(), 6u);
-  const uint64_t Before = totalAcquisitions(R);
-  for (int64_t I = 0; I < 2 * PhysicalLock::SharedSamplePeriod; ++I)
+  const uint64_t Before = lockAcquisitions(R);
+  for (int I = 0; I < 128; ++I)
     EXPECT_EQ(R.query(Q, Spec.cols({"dst", "weight"})).size(), 6u);
-  EXPECT_EQ(totalAcquisitions(R), Before);
+  EXPECT_EQ(lockAcquisitions(R), Before);
 }
 
 TEST(FastPath, IneligiblePlanFallsBackToTheLockedPath) {
@@ -294,10 +288,11 @@ TEST(FastPath, IneligiblePlanFallsBackToTheLockedPath) {
       << Explain;
 
   EXPECT_EQ(Succ.bind(0, Value::ofInt(2)).count(), 5u);
-  const uint64_t Before = totalAcquisitions(R);
-  for (int64_t I = 0; I < 2 * PhysicalLock::SharedSamplePeriod; ++I)
+  const uint64_t Before = lockAcquisitions(R);
+  for (int I = 0; I < 128; ++I)
     EXPECT_EQ(Succ.bind(0, Value::ofInt(2)).count(), 5u);
-  EXPECT_GT(totalAcquisitions(R), Before); // sampled shared traffic
+  // Locked: the root's stripe, u's, and one per w instance (5).
+  EXPECT_EQ(lockAcquisitions(R), Before + 128 * 7);
 }
 
 TEST(FastPath, MigrationPreservesTheFastReadsSetting) {

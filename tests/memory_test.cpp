@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// What the runtime costs in heap: warm prepared queries allocate
-/// nothing, a skip-list node is sized to its level, the bytes-by-layer
+/// nothing, a skip-list node is sized to its level, a physical lock is
+/// one cache line, the bytes-by-layer
 /// ledger (obs/MemoryLedger.h) accounts for the heap a fill allocates,
 /// and a filled graph relation stays within a per-tuple budget. The
 /// binary replaces the global operator new with a counting one; the
@@ -19,6 +20,7 @@
 #include "containers/ConcurrentSkipListMap.h"
 #include "runtime/PreparedOp.h"
 #include "sync/Epoch.h"
+#include "sync/PhysicalLock.h"
 
 #include <gtest/gtest.h>
 
@@ -153,6 +155,13 @@ TEST(SkipListMemory, NodesAreSizedToTheirLevel) {
   EXPECT_LE(Mean, double(Map::entryBytes(3)))
       << "nodes cost " << Mean << " B; a full-height node is "
       << Map::entryBytes(Map::MaxLevel) << " B";
+}
+
+/// A physical lock is the mutex plus the wait-die owner stamp, one cache
+/// line (x86-64 glibc: a 56-B shared_mutex and an 8-B stamp); its
+/// traffic is counted per relation, not on the lock.
+TEST(LockMemory, PhysicalLockIsOneCacheLine) {
+  EXPECT_EQ(sizeof(PhysicalLock), 64u);
 }
 
 #ifndef CRS_SANITIZED

@@ -372,6 +372,65 @@ TEST(ObsRelation, AttachExportsLiveCountersDetachStops) {
                   .execute());
 }
 
+/// The relation's lock traffic is exported as two exact counters: a
+/// locked query moves relation.lock_acquisitions by the locks its plan
+/// takes and relation.lock_contentions when its first try waits behind
+/// another holder; the epoch fast path moves neither.
+TEST(ObsRelation, LockCountersExportedAndMoveUnderALockedQuery) {
+  MetricsRegistry Reg;
+  // Concurrent containers on every edge, so the query is epoch-eligible.
+  ConcurrentRelation R(makeGraphRepresentation(
+      {GraphShape::Split, PlacementSchemeKind::Striped, 64,
+       ContainerKind::ConcurrentHashMap,
+       ContainerKind::ConcurrentSkipListMap}));
+  const RelationSpec &Spec = R.spec();
+  R.attachMetrics(Reg, "locks");
+  PreparedInsert Ins = R.prepareInsert(Spec.cols({"src", "dst"}));
+  for (int64_t D = 0; D < 3; ++D)
+    ASSERT_TRUE(Ins.bind(0, Value::ofInt(7))
+                    .bind(1, Value::ofInt(D))
+                    .bind(2, Value::ofInt(D))
+                    .execute());
+  PreparedQuery Succ =
+      R.prepareQuery(Spec.cols({"src"}), Spec.cols({"dst", "weight"}));
+  auto Read = [&](const char *Name) {
+    MetricsSnapshot S = Reg.snapshot();
+    const auto *C = findCounter(S, Name);
+    EXPECT_NE(C, nullptr) << Name;
+    return C ? C->Value : 0;
+  };
+  uint64_t Acq0 = Read("relation.lock_acquisitions");
+  EXPECT_GT(Acq0, 0u); // the inserts locked
+  EXPECT_EQ(Acq0, R.operationCounts().LockAcquisitions);
+
+  EXPECT_EQ(Succ.bind(0, Value::ofInt(7)).count(), 3u); // epoch fast path
+  EXPECT_EQ(Read("relation.lock_acquisitions"), Acq0);
+
+  // Locked: the root's stripe for src, u's stripe, one per w instance.
+  R.setFastReads(false);
+  EXPECT_EQ(Succ.bind(0, Value::ofInt(7)).count(), 3u);
+  EXPECT_EQ(Read("relation.lock_acquisitions"), Acq0 + 5);
+  EXPECT_EQ(Read("relation.lock_contentions"), 0u);
+
+  // Contended: a transaction scope holds src 7's locks exclusively while
+  // a locked query on another thread arrives, so the query's blocking
+  // acquisition of the root stripe fails its first try. Whether the
+  // query got there before the commit is up to the scheduler, so rounds
+  // repeat until one did.
+  unsigned Rounds = 0;
+  while (Read("relation.lock_contentions") == 0 && Rounds < 100) {
+    ++Rounds;
+    Transaction T(R);
+    EXPECT_TRUE(T.queryForUpdate(Succ, {Value::ofInt(7)}));
+    std::thread Reader([&] { Succ.bind(0, Value::ofInt(7)).count(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(T.commit());
+    Reader.join();
+  }
+  EXPECT_EQ(Read("relation.lock_contentions"), 1u);
+  R.detachMetrics();
+}
+
 /// A tuner-style snapshot runs registry callbacks under the registry
 /// mutex while handles' first sampled executions take that mutex from
 /// inside the operation gate; no callback may wait for the gate, so

@@ -5,7 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "sync/DeadlockDetector.h"
 #include "sync/LockSet.h"
 #include "sync/PhysicalLock.h"
 
@@ -41,44 +40,6 @@ TEST(PhysicalLock, ExclusiveExcludesAll) {
   L.unlock(LockMode::Exclusive);
 }
 
-TEST(PhysicalLock, ContentionCounters) {
-  PhysicalLock L;
-  EXPECT_EQ(L.acquisitions(), 0u);
-  L.lock(LockMode::Exclusive);
-  std::atomic<bool> Blocked{false};
-  std::thread T([&] {
-    Blocked.store(true, std::memory_order_release);
-    L.lock(LockMode::Shared); // must block until main unlocks
-    L.unlock(LockMode::Shared);
-  });
-  while (!Blocked.load(std::memory_order_acquire))
-    std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  L.unlock(LockMode::Exclusive);
-  T.join();
-  // Exclusive acquisitions are exact; the single shared acquisition is
-  // below the sampling period and credits nothing (class contract).
-  EXPECT_EQ(L.acquisitions(), 1u);
-  EXPECT_GE(L.contentions(), 1u);
-}
-
-TEST(PhysicalLock, SharedAcquisitionsAreSampled) {
-  // A full period's worth of shared acquisitions on one thread credits
-  // the lock at least one batch; the estimate never exceeds the truth
-  // by more than a period per thread (here: one thread, so never).
-  PhysicalLock L;
-  constexpr uint64_t N = 4 * PhysicalLock::SharedSamplePeriod;
-  for (uint64_t I = 0; I < N; ++I) {
-    L.lock(LockMode::Shared);
-    L.unlock(LockMode::Shared);
-  }
-  // The thread's sampling tick is process-global across locks, so the
-  // phase is unknown — but N ticks land at least N/period − 1 credits.
-  EXPECT_GE(L.acquisitions(), N - PhysicalLock::SharedSamplePeriod);
-  EXPECT_LE(L.acquisitions(), N + PhysicalLock::SharedSamplePeriod);
-  EXPECT_EQ(L.contentions(), 0u);
-}
-
 // ---------------------------------------------------------------- LockSet
 
 LockOrderKey key(uint32_t Topo, int64_t K, uint32_t Stripe) {
@@ -97,18 +58,57 @@ TEST(LockOrderKey, TotalOrder) {
 
 TEST(LockSet, DeduplicatesRepeatedAcquisition) {
   PhysicalLock L;
+  LockCounters C;
   LockSet S;
+  S.countInto(&C);
   S.acquire(L, key(0, 0, 0), LockMode::Exclusive);
   // Many logical locks can map to one physical lock under a coarse
   // placement; re-acquisition is a no-op.
   S.acquire(L, key(1, 0, 0), LockMode::Exclusive);
   EXPECT_EQ(S.heldCount(), 1u);
   EXPECT_TRUE(S.holds(L));
-  EXPECT_EQ(L.acquisitions(), 1u);
+  EXPECT_EQ(C.Acquisitions.load(), 1u); // the re-request took nothing
+  EXPECT_EQ(C.Contentions.load(), 0u);
   S.releaseAll();
   EXPECT_FALSE(S.holds(L));
   EXPECT_TRUE(L.tryLock(LockMode::Exclusive));
   L.unlock(LockMode::Exclusive);
+}
+
+TEST(LockSet, CountsOneContendedAcquisition) {
+  // Another holder keeps L exclusive while a set's blocking shared
+  // acquisition arrives: its first try fails, so it counts one
+  // contention and, once the holder lets go, one acquisition. Whether
+  // the acquirer reached its try before the release is up to the
+  // scheduler, so rounds repeat until one was contended; every round
+  // counts exactly one acquisition either way.
+  PhysicalLock L;
+  LockCounters C;
+  uint64_t Rounds = 0;
+  while (C.Contentions.load() == 0 && Rounds < 100) {
+    ++Rounds;
+    L.lock(LockMode::Exclusive);
+    std::thread T([&] {
+      LockSet S;
+      S.countInto(&C);
+      S.acquire(L, key(0, 0, 0), LockMode::Shared);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    L.unlock(LockMode::Exclusive);
+    T.join();
+    EXPECT_EQ(C.Acquisitions.load(), Rounds);
+  }
+  EXPECT_EQ(C.Contentions.load(), 1u);
+  // An uncontended blocking acquisition and a try count acquisitions only.
+  LockSet S;
+  S.countInto(&C);
+  PhysicalLock M;
+  S.acquire(L, key(0, 0, 0), LockMode::Exclusive);
+  EXPECT_EQ(S.tryAcquire(M, key(0, 1, 0), LockMode::Shared),
+            AcquireResult::Ok);
+  S.releaseAll();
+  EXPECT_EQ(C.Acquisitions.load(), Rounds + 2);
+  EXPECT_EQ(C.Contentions.load(), 1u);
 }
 
 TEST(LockSet, HoldsAtLeastModes) {
@@ -241,53 +241,6 @@ TEST(LockSet, InOrderWaitOutlastsAYoungerHolder) {
   Older.join();
   EXPECT_TRUE(Returned.load());
   EXPECT_EQ(Result, TxnAcquire::Ok);
-}
-
-// ------------------------------------------------------ DeadlockDetector
-
-TEST(DeadlockDetector, DetectsTwoPartyCycle) {
-  DeadlockDetector Det;
-  // T1 holds R1, T2 holds R2; T1 waits for R2, then T2 waiting for R1
-  // closes the cycle.
-  Det.onAcquire(1, 101);
-  Det.onAcquire(2, 102);
-  EXPECT_FALSE(Det.onWait(1, 102));
-  EXPECT_TRUE(Det.onWait(2, 101));
-  EXPECT_EQ(Det.deadlocksDetected(), 1u);
-}
-
-TEST(DeadlockDetector, OrderedAcquisitionNeverCycles) {
-  DeadlockDetector Det;
-  // Both agents take resources in ascending order: no cycle possible.
-  Det.onAcquire(1, 1);
-  EXPECT_FALSE(Det.onWait(2, 1)); // T2 waits for R1
-  Det.onRelease(1, 1);
-  Det.onAcquire(2, 1);
-  EXPECT_FALSE(Det.onWait(1, 2));
-  Det.onAcquire(1, 2);
-  EXPECT_EQ(Det.deadlocksDetected(), 0u);
-}
-
-TEST(DeadlockDetector, ThreePartyCycle) {
-  DeadlockDetector Det;
-  Det.onAcquire(1, 10);
-  Det.onAcquire(2, 20);
-  Det.onAcquire(3, 30);
-  EXPECT_FALSE(Det.onWait(1, 20));
-  EXPECT_FALSE(Det.onWait(2, 30));
-  EXPECT_TRUE(Det.onWait(3, 10));
-}
-
-TEST(DeadlockDetector, SharedHoldersTracked) {
-  DeadlockDetector Det;
-  Det.onAcquire(1, 10);
-  Det.onAcquire(2, 10); // shared holders of R10
-  Det.onAcquire(2, 20);
-  EXPECT_FALSE(Det.onWait(3, 10));
-  Det.onRelease(1, 10);
-  Det.onRelease(2, 10);
-  Det.reset();
-  EXPECT_EQ(Det.deadlocksDetected(), 0u);
 }
 
 } // namespace

@@ -14,8 +14,8 @@
 /// reads an access path (directory-served visit counts, read skew and
 /// phantom stability through a directory, survival across migrateTo) —
 /// plus the mechanical guarantees underneath: read-only scopes acquire
-/// zero physical locks (sampled lock counters), never die and never
-/// retry, commit with sequence 0 (no clock movement), and version
+/// zero physical locks (the exact lock_acquisitions counter), never die
+/// and never retry, commit with sequence 0 (no clock movement), and version
 /// reclamation is bounded by the minimum active snapshot. Then the
 /// snapshot-acquisition regression (a scope sees its own thread's
 /// earlier commit while another commit is in flight) and the version
@@ -37,8 +37,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <thread>
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -108,11 +110,9 @@ int64_t readWeight(Transaction &T, Handles &H, const RelationSpec &Spec,
   return W;
 }
 
-uint64_t totalAcquisitions(const RelationStatistics &Stats) {
-  uint64_t N = 0;
-  for (const NodeLockTraffic &T : Stats.Nodes)
-    N += T.Acquisitions;
-  return N;
+/// The relation's relation.lock_acquisitions: exact, every lock counted.
+uint64_t lockAcquisitions(const ConcurrentRelation &R) {
+  return R.operationCounts().LockAcquisitions;
 }
 
 } // namespace
@@ -655,18 +655,17 @@ TEST(Mvcc, SnapshotReadsAcquireZeroLocks) {
     for (int64_t D = 0; D < 4; ++D)
       ASSERT_TRUE(R.insert(key(Spec, S, D), weight(Spec, S + D)));
 
-  // Warm the plan cache, then sample the lock counters and run a pile
-  // of read-only scopes: the acquisition total must not move at all —
-  // snapshot reads take no placement or tuple locks (the tentpole's
-  // zero-lock guarantee, asserted rather than assumed). The counters
-  // sample shared acquisitions 1-in-64 and count exclusive ones
-  // exactly, so any lock on this path has ample chance to show.
+  // Warm the plan cache, then read the lock counter and run a pile of
+  // read-only scopes: the acquisition total must not move at all —
+  // snapshot reads take no placement or tuple locks (the zero-lock
+  // guarantee, asserted rather than assumed). Every acquisition is
+  // counted, so a single lock on this path would show.
   {
     Transaction Warm(R);
     ASSERT_TRUE(Warm.query(H.Succ, {Value::ofInt(0)}));
     ASSERT_TRUE(Warm.commit());
   }
-  uint64_t Before = totalAcquisitions(R.sampleStatistics());
+  uint64_t Before = lockAcquisitions(R);
   for (int Round = 0; Round < 200; ++Round) {
     Transaction T(R);
     uint32_t N = 0;
@@ -677,19 +676,19 @@ TEST(Mvcc, SnapshotReadsAcquireZeroLocks) {
     ASSERT_TRUE(T.commit());
     EXPECT_EQ(T.restarts(), 0u);
   }
-  uint64_t After = totalAcquisitions(R.sampleStatistics());
-  EXPECT_EQ(After - Before, 0u);
+  uint64_t After = lockAcquisitions(R);
+  EXPECT_EQ(After, Before);
 
-  // Control: the same query for-update moves the exclusive counters —
-  // the zero above is a property of the snapshot path, not dead
-  // instrumentation.
+  // Control: the same query for-update takes its exclusive locks — the
+  // zero above is a property of the snapshot path, not dead
+  // instrumentation. Source 0 has 4 destinations: the root's stripe
+  // for src, u's stripe, and one stripe per w instance (4).
   {
     Transaction T(R);
     ASSERT_TRUE(T.queryForUpdate(H.Succ, {Value::ofInt(0)}));
     ASSERT_TRUE(T.commit());
   }
-  uint64_t Control = totalAcquisitions(R.sampleStatistics());
-  EXPECT_GT(Control - After, 0u);
+  EXPECT_EQ(lockAcquisitions(R), After + 6);
 }
 
 TEST(Mvcc, ReclamationBoundedByActiveSnapshot) {
@@ -815,36 +814,50 @@ TEST(Mvcc, ReadOnlyScopeThroughputTracksPreparedReads) {
   }
 
   // Both loops visit the same (src, dst) sequence; every probe hits.
-  using Clock = std::chrono::steady_clock;
-  auto B0 = Clock::now();
-  uint64_t BareRows = 0;
-  for (uint64_t I = 0; I < Ops; ++I) {
-    H.Exact.bind(0, Value::ofInt(static_cast<int64_t>(I % 64)));
-    H.Exact.bind(1, Value::ofInt(static_cast<int64_t>(I % 4)));
-    BareRows += H.Exact.count();
-  }
-  auto B1 = Clock::now();
-
-  auto T0 = Clock::now();
-  uint64_t TxnRows = 0;
-  for (uint64_t I = 0; I < Ops; I += 8) {
-    Transaction T(R);
-    for (uint64_t J = I; J < I + 8 && J < Ops; ++J) {
-      uint32_t N = 0;
-      ASSERT_TRUE(T.query(H.Exact,
-                          {Value::ofInt(static_cast<int64_t>(J % 64)),
-                           Value::ofInt(static_cast<int64_t>(J % 4))},
-                          nullptr, &N));
-      TxnRows += N;
+  // Each is timed on this thread's CPU clock, so time the thread spends
+  // preempted (a loaded host, a parallel ctest) is not charged as read
+  // time, and the best of several interleaved rounds of each is kept.
+  auto CpuSeconds = [] {
+    timespec Ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts);
+    return double(Ts.tv_sec) + double(Ts.tv_nsec) * 1e-9;
+  };
+  auto BareLoop = [&] {
+    double Start = CpuSeconds();
+    uint64_t Rows = 0;
+    for (uint64_t I = 0; I < Ops; ++I) {
+      H.Exact.bind(0, Value::ofInt(static_cast<int64_t>(I % 64)));
+      H.Exact.bind(1, Value::ofInt(static_cast<int64_t>(I % 4)));
+      Rows += H.Exact.count();
     }
-    ASSERT_TRUE(T.commit());
+    double Sec = CpuSeconds() - Start;
+    EXPECT_EQ(Rows, Ops); // every probe is a hit
+    return Sec;
+  };
+  auto TxnLoop = [&] {
+    double Start = CpuSeconds();
+    uint64_t Rows = 0;
+    for (uint64_t I = 0; I < Ops; I += 8) {
+      Transaction T(R);
+      for (uint64_t J = I; J < I + 8 && J < Ops; ++J) {
+        uint32_t N = 0;
+        EXPECT_TRUE(T.query(H.Exact,
+                            {Value::ofInt(static_cast<int64_t>(J % 64)),
+                             Value::ofInt(static_cast<int64_t>(J % 4))},
+                            nullptr, &N));
+        Rows += N;
+      }
+      EXPECT_TRUE(T.commit());
+    }
+    double Sec = CpuSeconds() - Start;
+    EXPECT_EQ(Rows, Ops);
+    return Sec;
+  };
+  double BareSec = BareLoop(), TxnSec = TxnLoop();
+  for (int Round = 1; Round < 3; ++Round) {
+    BareSec = std::min(BareSec, BareLoop());
+    TxnSec = std::min(TxnSec, TxnLoop());
   }
-  auto T1 = Clock::now();
-  ASSERT_EQ(TxnRows, BareRows);
-  ASSERT_EQ(BareRows, Ops); // every probe is a hit
-
-  double BareSec = std::chrono::duration<double>(B1 - B0).count();
-  double TxnSec = std::chrono::duration<double>(T1 - T0).count();
   double BareOps = static_cast<double>(Ops) / BareSec;
   double TxnOps = static_cast<double>(Ops) / TxnSec;
   EXPECT_GE(TxnOps * 100.0, BareOps * static_cast<double>(Pct))
