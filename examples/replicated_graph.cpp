@@ -24,7 +24,10 @@
 /// tuple-for-tuple with every logged record applied and zero anomalies
 /// and gaps (the replication contract, read off one metrics snapshot),
 /// and the recovered fleet's state equals the primary's too (the
-/// durability contract).
+/// durability contract). It also prints the writer phase's wall time
+/// and, per wait site, the longest wait the engine recorded
+/// (`sync.wait`, sync/Backoff.h): the numbers to read first when a run
+/// is slow.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +41,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -120,6 +124,7 @@ int main() {
   ShardedRemove Drop = Bank.prepareRemove(Spec.cols({"src", "dst"}));
 
   std::atomic<uint64_t> Committed{0}, Transfers{0};
+  auto WriterStart = std::chrono::steady_clock::now();
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < NumThreads; ++T)
     Workers.emplace_back([&, T] {
@@ -171,6 +176,9 @@ int main() {
 
   for (std::thread &W : Workers)
     W.join();
+  double WriterSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - WriterStart)
+                             .count();
 
   // ---- replication check: catch the follower up, compare states -----
   // The writers have joined, so every commit is in the log's memory:
@@ -195,6 +203,13 @@ int main() {
               static_cast<unsigned long long>(Anomalies),
               static_cast<unsigned long long>(Gaps),
               FollowerMatches ? "state matches primary" : "MISMATCH");
+  std::printf("writer phase: %.3f s; longest wait per site (ms):",
+              WriterSeconds);
+  for (const auto &H : Snap.Histograms)
+    if (H.Name == "sync.wait")
+      std::printf(" %s %.3f", H.Labels[0].second.c_str(),
+                  static_cast<double>(H.Data.MaxNanos) / 1e6);
+  std::printf("\n");
 
   obs::exportIfRequested(Reg); // CRS_METRICS_JSON=<path>: dump the verdict
 

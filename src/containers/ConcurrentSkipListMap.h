@@ -43,6 +43,7 @@
 #define CRS_CONTAINERS_CONCURRENTSKIPLISTMAP_H
 
 #include "support/Compiler.h"
+#include "sync/Backoff.h"
 #include "sync/Epoch.h"
 
 #include <atomic>
@@ -302,8 +303,9 @@ public:
         if (Existing->Marked.load(std::memory_order_acquire))
           continue; // being erased or displaced: retry
         // Wait for a concurrent inserter to finish linking.
-        while (!Existing->FullyLinked.load(std::memory_order_acquire)) {
-        }
+        for (Backoff B(WaitSite::SkipListLink);
+             !Existing->FullyLinked.load(std::memory_order_acquire);)
+          B.pause();
         if (Existing->Val == Val)
           return false;
         Node *Fresh = Node::make(Existing->TopLevel, Key, std::move(Val));

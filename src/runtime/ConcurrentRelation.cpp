@@ -37,13 +37,13 @@
 #include "runtime/ConcurrentRelation.h"
 
 #include "support/Compiler.h"
+#include "sync/Backoff.h"
 #include "sync/CommitClock.h"
 #include "txn/MvccStore.h"
 #include "wal/Wal.h"
 
 #include <algorithm>
 #include <functional>
-#include <thread>
 #include <unordered_set>
 
 using namespace crs;
@@ -142,7 +142,8 @@ ConcurrentRelation::runQueryPlan(const Plan &P, const Tuple &Input,
   ExecContext &Ctx = ExecContext::current();
   Ctx.Locks.setOrderDomain(0, LockDomain);
   Ctx.Locks.countInto(&LockCounts);
-  for (unsigned Attempt = 0;; ++Attempt) {
+  Backoff B(WaitSite::QueryRestart);
+  for (;;) {
     OpScope Scope(Ctx);
     if (Executor.run(P, Input, Root.get(), Ctx) == ExecStatus::Ok) {
       // Shrinking phase: release while the context still pins the read
@@ -156,11 +157,10 @@ ConcurrentRelation::runQueryPlan(const Plan &P, const Tuple &Input,
       return N; // Scope recycles the frames
     }
     // Speculation failed (wrong guess or out-of-order conflict): release
-    // everything (OpScope) and retry; yield under pressure.
+    // everything (OpScope) and retry.
     Scope.finish();
     Restarts.inc();
-    if (Attempt >= 16)
-      std::this_thread::yield();
+    B.pause();
   }
 }
 

@@ -35,11 +35,11 @@
 #include "runtime/ConcurrentRelation.h"
 
 #include "support/Compiler.h"
+#include "sync/Backoff.h"
 #include "sync/Epoch.h"
 #include "txn/MvccStore.h"
 
 #include <chrono>
-#include <thread>
 
 using namespace crs;
 
@@ -248,7 +248,7 @@ MigrationResult ConcurrentRelation::migrateTo(RepresentationConfig Target,
     Ctx.Locks.countInto(&LockCounts);
     uint64_t Processed = 0;
     for (const Tuple &T : Snapshot) {
-      for (unsigned Attempt = 0;; ++Attempt) {
+      for (Backoff B(WaitSite::BackfillRestart);;) {
         ExecContext::OpScope S(Ctx); // asserts: no backfill inside an op
         if (Executor.run(*Member, T, Root.get(), Ctx) == ExecStatus::Ok) {
           if (Ctx.numStates(Member->ResultVar) != 0 &&
@@ -258,8 +258,7 @@ MigrationResult ConcurrentRelation::migrateTo(RepresentationConfig Target,
         }
         // Speculative membership check lost its guess: restart it.
         Restarts.inc();
-        if (Attempt >= 16)
-          std::this_thread::yield();
+        B.pause();
       }
       ++Processed;
       if (Obs)

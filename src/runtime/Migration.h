@@ -52,11 +52,12 @@
 #ifndef CRS_RUNTIME_MIGRATION_H
 #define CRS_RUNTIME_MIGRATION_H
 
+#include "sync/Backoff.h"
+
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 
 namespace crs {
 
@@ -79,44 +80,35 @@ class MirrorRep;
 /// same close/drain protocol, RCU style.
 class OpGate {
 public:
-  /// Shared entry; blocks (yielding) only while a flip holds the gate
-  /// closed. Must not be re-entered by a thread already inside (a
+  /// Shared entry; waits (sync/Backoff.h) only while a flip holds the
+  /// gate closed. Must not be re-entered by a thread already inside (a
   /// nested operation would deadlock against a concurrent flip; the
   /// executor's Busy assert catches this in debug builds first).
-  void enter() {
-    for (;;) {
-      uint64_t W = Word.fetch_add(1, std::memory_order_acquire);
-      if ((W & ClosedBit) == 0)
-        return;
-      // A flip is in progress: undo the optimistic entry and wait for
-      // the gate to reopen (bounded by the flip's drain + swap).
-      Word.fetch_sub(1, std::memory_order_release);
-      while (Word.load(std::memory_order_acquire) & ClosedBit)
-        std::this_thread::yield();
-    }
-  }
+  void enter() { tryEnter(Unbounded); }
   void exit() { Word.fetch_sub(1, std::memory_order_release); }
 
-  /// Bounded shared entry: like enter(), but gives up after roughly
-  /// \p YieldBudget yields spent waiting on a closed gate. Used by a
-  /// cross-shard transaction joining an additional shard mid-scope —
-  /// blocking there while holding other shards' gates and locks could
-  /// tie a cycle through a concurrent flip's drain, so the join waits
-  /// boundedly and the transaction dies (aborts and retries) instead.
-  bool tryEnter(unsigned YieldBudget) {
-    for (;;) {
-      uint64_t W = Word.fetch_add(1, std::memory_order_acquire);
-      if ((W & ClosedBit) == 0)
-        return true;
-      Word.fetch_sub(1, std::memory_order_release);
-      while (Word.load(std::memory_order_acquire) & ClosedBit) {
-        if (YieldBudget == 0)
-          return false;
-        --YieldBudget;
-        std::this_thread::yield();
-      }
-    }
+  /// Shared entry that gives up after \p MaxPauses backoff pauses on a
+  /// closed gate (Unbounded: never). Used by a cross-shard transaction
+  /// joining an additional shard mid-scope — blocking there while
+  /// holding other shards' gates and locks could tie a cycle through a
+  /// concurrent flip's drain, so the join waits boundedly and the
+  /// transaction dies (aborts and retries) instead.
+  bool tryEnter(unsigned MaxPauses) {
+    if (enterOnce())
+      return true;
+    // A flip is in progress: wait for the gate to reopen (bounded by
+    // the flip's drain + swap), registered as a waiter so the next
+    // closer lets this thread in first (see Barrier).
+    Waiters.fetch_add(1, std::memory_order_relaxed);
+    Backoff B(WaitSite::GateEnter);
+    bool Entered;
+    for (unsigned Paused = 0; !(Entered = enterOnce()); B.pause())
+      if (MaxPauses != Unbounded && Paused++ == MaxPauses)
+        break;
+    Waiters.fetch_sub(1, std::memory_order_relaxed);
+    return Entered;
   }
+  static constexpr unsigned Unbounded = 0;
 
   /// RAII shared entry for one relational operation.
   class Scope {
@@ -138,11 +130,16 @@ public:
   class Barrier {
   public:
     explicit Barrier(OpGate &G) : G(G), Excl(G.CloserM) {
+      // Entrants that waited out the previous closure go first: a
+      // closer in a loop would otherwise starve backed-off waiters.
+      Backoff B(WaitSite::GateDrain);
+      while (G.Waiters.load(std::memory_order_relaxed) != 0)
+        B.pause();
       G.Word.fetch_or(ClosedBit, std::memory_order_acquire);
       // Entrants that bumped the count after the close observe the bit
       // and back out, so the count monotonically drains to zero.
       while (G.Word.load(std::memory_order_acquire) & ~ClosedBit)
-        std::this_thread::yield();
+        B.pause();
     }
     ~Barrier() { G.Word.fetch_and(~ClosedBit, std::memory_order_release); }
     Barrier(const Barrier &) = delete;
@@ -156,8 +153,18 @@ public:
 private:
   static constexpr uint64_t ClosedBit = uint64_t(1) << 63;
 
+  /// One optimistic entry, undone if the gate is closed.
+  bool enterOnce() {
+    if ((Word.fetch_add(1, std::memory_order_acquire) & ClosedBit) == 0)
+      return true;
+    Word.fetch_sub(1, std::memory_order_release);
+    return false;
+  }
+
   /// Low 63 bits: in-flight operation count; top bit: gate closed.
   std::atomic<uint64_t> Word{0};
+  /// Threads inside tryEnter's wait (a fairness hint for closers).
+  std::atomic<uint32_t> Waiters{0};
   std::mutex CloserM;
 };
 

@@ -7,11 +7,11 @@
 
 #include "sync/CommitClock.h"
 
+#include "sync/Backoff.h"
 #include "sync/LockOrderValidator.h"
 
 #include <atomic>
 #include <cassert>
-#include <thread>
 
 using namespace crs;
 
@@ -33,7 +33,7 @@ struct alignas(64) RegistrySlot {
 };
 
 /// Enough slots for far more concurrent committers / open snapshots
-/// than any realistic thread count; a claimant past the end spins for
+/// than any realistic thread count; a claimant past the end waits for
 /// a free slot (commits and snapshot acquisitions are short).
 constexpr unsigned NumSlots = 128;
 
@@ -45,7 +45,7 @@ RegistrySlot Snapshots[NumSlots]; ///< open snapshot sequences
 /// never observable as claimed-but-empty.
 unsigned claimSlot(RegistrySlot *Reg, uint64_t Pin) {
   assert(Pin != 0 && "0 marks a free slot");
-  for (;;) {
+  for (Backoff B(WaitSite::CommitSlot);; B.pause()) // > NumSlots claimants
     for (unsigned I = 0; I < NumSlots; ++I) {
       uint64_t Free = 0;
       if (Reg[I].V.load(std::memory_order_relaxed) == 0 &&
@@ -53,12 +53,10 @@ unsigned claimSlot(RegistrySlot *Reg, uint64_t Pin) {
                                            std::memory_order_seq_cst))
         return I;
     }
-    std::this_thread::yield(); // > NumSlots concurrent claimants
-  }
 }
 
 /// The commit clock, once every commit stamped at or below it has
-/// finished installing: reads the clock, then waits (spin, then yield)
+/// finished installing: reads the clock, then waits (sync/Backoff.h)
 /// until no in-flight slot holds a sequence at or below that reading.
 /// A commit with Seq ≤ the reading claimed its slot before stamping, so
 /// the seq_cst clock load orders that claim before the slot scan: the
@@ -68,12 +66,10 @@ unsigned claimSlot(RegistrySlot *Reg, uint64_t Pin) {
 uint64_t drainedCommitClock() {
   uint64_t C = CommitClock.V.load(std::memory_order_seq_cst);
   for (unsigned I = 0; I < NumSlots; ++I)
-    for (unsigned Spins = 0;; ++Spins) {
+    for (Backoff B(WaitSite::CommitDrain);; B.pause()) {
       uint64_t V = InFlight[I].V.load(std::memory_order_seq_cst);
       if (V == 0 || V > C)
         break;
-      if (Spins >= 64)
-        std::this_thread::yield(); // an install window is microseconds
     }
   return C;
 }

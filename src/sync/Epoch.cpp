@@ -9,8 +9,7 @@
 
 #include "obs/Metrics.h"
 #include "support/Compiler.h"
-
-#include <thread>
+#include "sync/Backoff.h"
 
 using namespace crs;
 
@@ -235,9 +234,10 @@ void EpochDomain::synchronize() {
   // epoch and blocks at most one more. Either way, once the epoch has
   // moved twice, every pre-call guard has exited.
   uint64_t Target = GlobalE.load(std::memory_order_seq_cst) + 2;
+  Backoff B(WaitSite::EpochSync);
   while (GlobalE.load(std::memory_order_seq_cst) < Target) {
     if (!tryAdvance())
-      std::this_thread::yield();
+      B.pause();
   }
 }
 

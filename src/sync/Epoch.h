@@ -105,7 +105,7 @@ public:
   /// racing advance) prevents progress. Never blocks.
   bool tryAdvance();
 
-  /// Blocks (spin + yield) until every guard active at the call has
+  /// Blocks (sync/Backoff.h) until every guard active at the call has
   /// exited: two full epoch advances. Must not be called from inside a
   /// guard on this domain (asserted) — it could never complete.
   void synchronize();

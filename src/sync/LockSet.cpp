@@ -8,9 +8,8 @@
 #include "sync/LockSet.h"
 
 #include "support/Compiler.h"
+#include "sync/Backoff.h"
 #include "sync/LockOrderValidator.h"
-
-#include <thread>
 
 using namespace crs;
 
@@ -117,11 +116,12 @@ TxnAcquire LockSet::acquireTxn(PhysicalLock &Lock, const LockOrderKey &Key,
            "waiting acquisition violates the cross-set (chained-op / "
            "cross-shard / source-before-target) lock order");
 #endif
+    Backoff B(WaitSite::LockWait);
     while (tryAcquire(Lock, Key, Mode) != AcquireResult::Ok) {
       if (LastConflict != 0 && LastConflict < BirthStamp)
         return TxnAcquire::WouldBlock;
       LastConflict = 0;
-      std::this_thread::yield();
+      B.pause();
     }
     return TxnAcquire::Ok;
   }

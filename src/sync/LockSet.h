@@ -148,10 +148,6 @@ public:
 
   size_t heldCount() const { return Held.size(); }
 
-  /// Number of times this set hit WouldBlock (restart pressure metric).
-  uint64_t restarts() const { return Restarts; }
-  void noteRestart() { ++Restarts; }
-
   /// True if acquiring a lock at \p Key would respect the global order
   /// given what this transaction already holds. Speculative acquisitions
   /// (§4.5) use this to choose between blocking and try-lock paths.
@@ -206,7 +202,6 @@ private:
     LockMode Mode;
   };
   std::vector<Entry> Held;
-  uint64_t Restarts = 0;
   uint64_t BirthStamp = 0;    ///< this scope's wait-die age (0: bare op)
   uint64_t LastConflict = 0;  ///< holder stamp behind the last WouldBlock
   bool HasMaxKey = false;

@@ -8,6 +8,7 @@
 #include "txn/Transaction.h"
 
 #include "support/Compiler.h"
+#include "sync/Backoff.h"
 #include "sync/CommitClock.h"
 #include "sync/Epoch.h"
 #include "txn/MvccStore.h"
@@ -103,13 +104,22 @@ TxnCtxPool &txnCtxPool() {
   return Pool;
 }
 
-/// Failed out-of-order tries an op survives before the scope dies.
-/// Grows with patience (the retry attempt number) — the aging half of
-/// bounded wait-die.
+/// Failed out-of-order tries an op survives before the scope dies: the
+/// Backoff's spin and yield rounds (some 20 us), then two more sleeps
+/// per patience level (the retry attempt number), so the time a try
+/// budget spans about doubles with patience up to a few ms — the aging
+/// half of bounded wait-die.
 unsigned tryBudget(unsigned Patience) {
-  unsigned Shift = std::min(Patience, 6u);
-  return 96u << Shift;
+  return Backoff::SpinRounds + Backoff::YieldRounds +
+         2 * std::min(Patience, 6u);
 }
+
+/// Backoff pauses a mid-scope shard join waits on a closed gate before
+/// the scope dies with GateBusy: the spin and yield rounds, some 20 us.
+/// The joining scope holds other shards' locks, so it never sleeps on
+/// them — a flip's drain may be waiting for a scope that waits for one
+/// of those locks. It dies, and runTransaction's backoff sleeps instead.
+constexpr unsigned GateJoinPauses = Backoff::SpinRounds + Backoff::YieldRounds;
 
 } // namespace
 
@@ -165,13 +175,10 @@ bool Transaction::ensureGate() {
   // shard join must not block indefinitely on a flip in progress while
   // the scope holds other shards' gates and locks — it waits boundedly
   // and the scope dies instead.
-  if (WantBoundedGate) {
-    if (!Rel->Gate.tryEnter(/*YieldBudget=*/4096)) {
-      abortWith(TxnAbortCause::GateBusy);
-      return false;
-    }
-  } else {
-    Rel->Gate.enter();
+  if (!Rel->Gate.tryEnter(WantBoundedGate ? GateJoinPauses
+                                          : OpGate::Unbounded)) {
+    abortWith(TxnAbortCause::GateBusy);
+    return false;
   }
   GateHeld = true;
   StartEpoch = Rel->planEpoch();
@@ -265,8 +272,10 @@ bool Transaction::execOp(const PreparedOpImpl &Impl, const Value *Args,
   unsigned Budget = TryBudget;
   // Retries against a *younger* holder don't burn Budget (an older
   // scope waits, it doesn't die — the classic rule), but stay bounded
-  // by this cap so a stuck young holder can't pin a senior forever.
-  unsigned SeniorityWaits = TryBudget * 8;
+  // by this cap, the budget plus the Backoff's sleep ramp (a few ms),
+  // so a stuck young holder can't pin a senior, and its locks, for long.
+  unsigned SeniorityWaits = TryBudget + 10;
+  Backoff B(WaitSite::TxnOpRetry);
   for (;;) {
     ExecStatus S = Rel->Executor.run(*P, Input, Rel->Root.get(), *Ctx);
     if (S != ExecStatus::Restart) {
@@ -330,7 +339,7 @@ bool Transaction::execOp(const PreparedOpImpl &Impl, const Value *Args,
       abortWith(TxnAbortCause::Conflict); // die (bounded wait-die)
       return false;
     }
-    std::this_thread::yield();
+    B.pause();
   }
 }
 
@@ -560,7 +569,7 @@ void Transaction::rollbackUndo() {
   for (auto It = Undo.rbegin(); It != Undo.rend(); ++It) {
     const Plan *P = Rel->resolvePlan(
         It->WasInsert ? PlanOp::UndoInsert : PlanOp::UndoRemove, ColumnSet());
-    for (;;) {
+    for (Backoff B(WaitSite::TxnUndoShed);;) {
       LockSet::Mark LockMark = Ctx->Locks.mark();
       size_t PoolMark = Ctx->poolMark();
       ExecStatus S = Rel->Executor.run(*P, It->Full, Rel->Root.get(), *Ctx);
@@ -580,7 +589,7 @@ void Transaction::rollbackUndo() {
       // this loop terminates (see the deadlock argument in the header).
       Ctx->Locks.releaseToMark(LockMark);
       Ctx->rollbackPool(PoolMark);
-      std::this_thread::yield();
+      B.pause();
     }
   }
   Undo.clear();

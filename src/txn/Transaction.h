@@ -66,9 +66,13 @@
 /// and a scope that finds an older scope holding the lock dies at once:
 /// a younger scope blocked in the mutex could not be aborted, and an
 /// older one spinning out of order on a lock it held died and retook
-/// its locks, over and over, faster than the blocked thread woke. The
-/// debug-build sync/LockOrderValidator asserts the cross-op and
-/// cross-shard discipline on every waiting acquisition.
+/// its locks, over and over, faster than the blocked thread woke. Every
+/// such retry loop, and runTransaction between attempts, is paced by
+/// one sync/Backoff (spin, yield, then sleeps capped at 1 ms): pacing
+/// sets how long a waiter sleeps, never whether it dies, so the bounds
+/// above still end each wait. The debug-build sync/LockOrderValidator
+/// asserts the cross-op and cross-shard discipline on every waiting
+/// acquisition.
 ///
 /// **Rollback.** Every committed mutation in the scope appends an undo
 /// record (operation kind + full tuple); abort replays *inverse
@@ -124,12 +128,11 @@
 
 #include "runtime/PreparedOp.h"
 #include "runtime/ShardedRelation.h"
+#include "sync/Backoff.h"
 #include "txn/MvccStore.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -428,9 +431,10 @@ template <> struct TxnHandleFor<ShardedRelation> {
 };
 
 /// Runs \p Body inside a transaction scope on \p Rel and commits.
-/// A scope that dies (Conflict, EpochChange, GateBusy) is retried with
-/// the attempt number as its patience — the aging that makes bounded
-/// wait-die fair: a long-suffering logical transaction tolerates ever
+/// A scope that dies (Conflict, EpochChange, GateBusy) is retried, after
+/// a Backoff pause that grows across attempts, with the attempt number
+/// as its patience — the aging that makes bounded wait-die fair: a
+/// long-suffering logical transaction tolerates ever
 /// more failed tries per op, so it eventually outlasts younger rivals
 /// on any contended key. \p Body receives the open scope and returns
 /// false to request a user abort (rolled back, not retried). Returns
@@ -442,6 +446,7 @@ bool runTransaction(RelT &Rel, BodyFn &&Body, unsigned MaxAttempts = 0) {
   // stamps it, every retry carries it, so under wait-die the retried
   // transaction only ever gains seniority (the fairness argument).
   uint64_t Birth = 0;
+  Backoff B(WaitSite::TxnRetry);
   for (unsigned Attempt = 0; MaxAttempts == 0 || Attempt < MaxAttempts;
        ++Attempt) {
     typename TxnHandleFor<RelT>::type Txn(Rel, /*Patience=*/Attempt, Birth);
@@ -461,18 +466,12 @@ bool runTransaction(RelT &Rel, BodyFn &&Body, unsigned MaxAttempts = 0) {
       return true;
     if (Txn.abortCause() == TxnAbortCause::User)
       return false;
-    // Back off a little harder each round before re-contending: yields
-    // while retries are few, then sleeps that grow with the attempt, so
-    // a bound on attempts also spans time. A scope killed again and
-    // again by an older holder that stalled (descheduled, or waiting on
-    // a log flush) then outlasts the stall rather than spending every
-    // attempt inside it.
-    if (Attempt < 64)
-      for (unsigned Y = 0; Y <= Attempt; ++Y)
-        std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(std::min(Attempt - 63, 1000u)));
+    // One Backoff across the attempts, so each re-contention waits a
+    // little longer (up to 1 ms) and a bound on attempts also spans
+    // time. A scope killed again and again by an older holder that
+    // stalled (descheduled, or waiting on a log flush) then outlasts
+    // the stall rather than spending every attempt inside it.
+    B.pause();
   }
   return false;
 }

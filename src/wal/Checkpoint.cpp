@@ -36,23 +36,6 @@ constexpr uint32_t TrailerShard = 0xffffffffu;
 /// paying per-tuple record overhead.
 constexpr size_t TuplesPerRecord = 256;
 
-bool writeAll(int Fd, const std::vector<uint8_t> &Buf, std::string *Err,
-              const std::string &Path) {
-  size_t Off = 0;
-  while (Off < Buf.size()) {
-    ssize_t W = ::write(Fd, Buf.data() + Off, Buf.size() - Off);
-    if (W < 0) {
-      if (errno == EINTR)
-        continue;
-      if (Err)
-        *Err = Path + ": " + std::strerror(errno);
-      return false;
-    }
-    Off += static_cast<size_t>(W);
-  }
-  return true;
-}
-
 } // namespace
 
 std::string crs::checkpointPath(const std::string &Dir, uint32_t Shard,
@@ -154,7 +137,8 @@ bool crs::writeCheckpoint(ConcurrentRelation &R, const std::string &Dir,
       *Err = Tmp + ": " + std::strerror(errno);
     return false;
   }
-  bool Ok = writeAll(Fd, Buf, Err, Tmp) && ::fsync(Fd) == 0;
+  bool Ok = walWriteAll(Fd, Buf.data(), Buf.size(), Tmp, Err) &&
+            ::fsync(Fd) == 0;
   ::close(Fd);
   if (!Ok) {
     ::unlink(Tmp.c_str());

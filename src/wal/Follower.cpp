@@ -10,7 +10,6 @@
 #include "wal/Checkpoint.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <fcntl.h>
 #include <unistd.h>
@@ -29,7 +28,6 @@ WalTailer::~WalTailer() {
 
 size_t WalTailer::poll(std::vector<WalRecord> &Out) {
   size_t Appended = 0;
-  std::vector<uint8_t> Buf;
   for (unsigned P = 0; P < Cursors.size(); ++P) {
     Cursor &C = Cursors[P];
     // Keep draining segments until one ends without a successor: the
@@ -61,37 +59,16 @@ size_t WalTailer::poll(std::vector<WalRecord> &Out) {
       // never deletes the active segment), and its successor is listed.
       bool Sealed = std::upper_bound(Segs.begin(), Segs.end(), C.Seg) !=
                     Segs.end();
-      Buf.clear();
-      uint8_t Chunk[1 << 16];
-      for (uint64_t At = C.Off;;) {
-        ssize_t N = ::pread(C.Fd, Chunk, sizeof(Chunk), static_cast<off_t>(At));
-        if (N < 0 && errno == EINTR)
-          continue;
-        if (N <= 0)
-          break;
-        Buf.insert(Buf.end(), Chunk, Chunk + N);
-        At += static_cast<uint64_t>(N);
-      }
-      size_t Off = 0;
-      WalRecord Rec;
-      bool Torn = false;
-      while (Off < Buf.size()) {
-        size_t Used =
-            walDecodeRecord(Buf.data() + Off, Buf.size() - Off, Rec);
-        if (Used == 0) {
-          Torn = true;
-          break; // incomplete tail: the flusher is mid-append; next poll
-        }
+      WalReadResult R = readWalRecords(C.Fd, C.Off);
+      for (WalRecord &Rec : R.Records)
         Out.push_back(std::move(Rec));
-        Rec = WalRecord();
-        Off += Used;
-        ++Appended;
-      }
-      C.Off += Off;
+      Appended += R.Records.size();
+      C.Off += R.ValidBytes;
       // Mid-append bytes only ever trail the active segment; without a
       // successor in the pre-read listing this may be the active
-      // segment — wait for more bytes (or the next poll's listing).
-      if (Torn || !Sealed)
+      // segment — wait for more bytes (or the next poll's listing). A
+      // failed read is retried by the next poll.
+      if (!R.ok() || R.TornTail || !Sealed)
         break;
       // Clean end of a sealed segment: roll to the next index. If that
       // one is gone too, the next iteration counts the gap.

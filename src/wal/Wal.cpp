@@ -29,21 +29,11 @@ using namespace crs;
 
 namespace {
 
-void putU8(std::vector<uint8_t> &Out, uint8_t V) { Out.push_back(V); }
-
-void putU16(std::vector<uint8_t> &Out, uint16_t V) {
-  Out.push_back(static_cast<uint8_t>(V));
-  Out.push_back(static_cast<uint8_t>(V >> 8));
-}
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
+/// Appends \p V little-endian in sizeof(T) bytes: the wire format's one
+/// integer encoding (Reader::get is its inverse).
+template <typename T> void put(std::vector<uint8_t> &Out, T V) {
+  for (size_t I = 0; I < sizeof(T); ++I)
+    Out.push_back(static_cast<uint8_t>(static_cast<uint64_t>(V) >> (8 * I)));
 }
 
 /// Bounds-checked little-endian reader over one record payload.
@@ -60,63 +50,34 @@ struct Reader {
     }
     return true;
   }
-  uint8_t u8() {
-    if (!need(1))
-      return 0;
-    return D[Off++];
-  }
-  uint16_t u16() {
-    if (!need(2))
-      return 0;
-    uint16_t V = static_cast<uint16_t>(D[Off]) |
-                 static_cast<uint16_t>(D[Off + 1]) << 8;
-    Off += 2;
-    return V;
-  }
-  uint32_t u32() {
-    if (!need(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(D[Off + I]) << (8 * I);
-    Off += 4;
-    return V;
-  }
-  uint64_t u64() {
-    if (!need(8))
+  template <typename T> T get() {
+    if (!need(sizeof(T)))
       return 0;
     uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
+    for (size_t I = 0; I < sizeof(T); ++I)
       V |= static_cast<uint64_t>(D[Off + I]) << (8 * I);
-    Off += 8;
-    return V;
+    Off += sizeof(T);
+    return static_cast<T>(V);
   }
 };
 
 void encodeEntry(std::vector<uint8_t> &Out, ColumnId Col, const Value &Val) {
-  putU32(Out, Col);
+  put<uint32_t>(Out, Col);
   if (Val.isInt()) {
-    putU8(Out, 0);
-    putU64(Out, static_cast<uint64_t>(Val.asInt()));
+    put<uint8_t>(Out, 0);
+    put<uint64_t>(Out, static_cast<uint64_t>(Val.asInt()));
   } else {
     // Interned string ids are process-local: serialize the bytes.
     std::string_view S = Val.asString();
-    putU8(Out, 1);
-    putU32(Out, static_cast<uint32_t>(S.size()));
+    put<uint8_t>(Out, 1);
+    put<uint32_t>(Out, static_cast<uint32_t>(S.size()));
     Out.insert(Out.end(), S.begin(), S.end());
   }
 }
 
-void encodeTuple(std::vector<uint8_t> &Out, const Tuple &T) {
-  const auto &Entries = T.entries();
-  putU16(Out, static_cast<uint16_t>(Entries.size()));
-  for (const auto &[Col, Val] : Entries)
-    encodeEntry(Out, Col, Val);
-}
-
-/// encodeTuple of π_Cols(T) without building the projected tuple:
-/// entries are stored sorted by column id, so filtering while encoding
-/// writes exactly the bytes encodeTuple writes for T.project(Cols).
+/// Encodes π_Cols(T) without building the projected tuple: entries
+/// are stored sorted by column id, so filtering while encoding writes
+/// exactly the bytes T.project(Cols) would encode to.
 void encodeTupleProjected(std::vector<uint8_t> &Out, const Tuple &T,
                           ColumnSet Cols) {
   const auto &Entries = T.entries();
@@ -124,17 +85,36 @@ void encodeTupleProjected(std::vector<uint8_t> &Out, const Tuple &T,
   for (const auto &[Col, Val] : Entries)
     if (Cols.contains(Col))
       ++N;
-  putU16(Out, N);
+  put<uint16_t>(Out, N);
   for (const auto &[Col, Val] : Entries)
     if (Cols.contains(Col))
       encodeEntry(Out, Col, Val);
 }
 
-/// Patches the (length, CRC) header that every record encoder writes as
-/// two zero u32s at \p Header before its payload (starting at
-/// \p Payload).
-void patchRecordHeader(std::vector<uint8_t> &Out, size_t Header,
-                       size_t Payload) {
+/// Every column: the projection that encodes a tuple whole.
+const ColumnSet AllColumns = ColumnSet::fromBits(~uint64_t(0));
+
+/// The one record encoder: appends a record of \p NumMuts mutations to
+/// \p Out. Mutation \p I comes from \p Mut(I, Full), which returns its
+/// kind and points \p Full at its tuple; each tuple is encoded
+/// restricted to \p Project.
+void encodeRecord(std::vector<uint8_t> &Out, uint64_t CommitSeq,
+                  uint32_t Shard, size_t NumMuts, ColumnSet Project,
+                  function_ref<WalOp(size_t, const Tuple *&)> Mut) {
+  size_t Header = Out.size();
+  put<uint32_t>(Out, 0); // payload length, patched below
+  put<uint32_t>(Out, 0); // CRC, patched below
+  size_t Payload = Out.size();
+  put<uint64_t>(Out, CommitSeq);
+  put<uint32_t>(Out, Shard);
+  put<uint32_t>(Out, static_cast<uint32_t>(NumMuts));
+  for (size_t I = 0; I < NumMuts; ++I) {
+    const Tuple *Full = nullptr;
+    WalOp Op = Mut(I, Full);
+    assert(Full && "mutation source must point Full at its tuple");
+    put<uint8_t>(Out, static_cast<uint8_t>(Op));
+    encodeTupleProjected(Out, *Full, Project);
+  }
   uint32_t Len = static_cast<uint32_t>(Out.size() - Payload);
   uint32_t Crc = walCrc32(Out.data() + Payload, Len);
   for (int I = 0; I < 4; ++I) {
@@ -143,16 +123,24 @@ void patchRecordHeader(std::vector<uint8_t> &Out, size_t Header,
   }
 }
 
+/// encodeRecord's mutation source over a WalMutation array.
+auto arraySource(const WalMutation *Muts) {
+  return [Muts](size_t I, const Tuple *&Full) {
+    Full = &Muts[I].Full;
+    return Muts[I].Op;
+  };
+}
+
 bool decodeTuple(Reader &R, Tuple &Out) {
   Out = Tuple();
-  uint16_t N = R.u16();
+  uint16_t N = R.get<uint16_t>();
   for (uint16_t I = 0; I < N && !R.Bad; ++I) {
-    uint32_t Col = R.u32();
-    uint8_t Kind = R.u8();
+    uint32_t Col = R.get<uint32_t>();
+    uint8_t Kind = R.get<uint8_t>();
     if (Kind == 0) {
-      Out.set(Col, Value::ofInt(static_cast<int64_t>(R.u64())));
+      Out.set(Col, Value::ofInt(static_cast<int64_t>(R.get<uint64_t>())));
     } else if (Kind == 1) {
-      uint32_t Len = R.u32();
+      uint32_t Len = R.get<uint32_t>();
       if (!R.need(Len))
         return false;
       Out.set(Col, Value::ofString(std::string_view(
@@ -188,41 +176,27 @@ uint32_t crs::walCrc32(const uint8_t *Data, size_t Len) {
 void crs::walEncodeRecord(std::vector<uint8_t> &Out, uint64_t CommitSeq,
                           uint32_t Shard, const WalMutation *Muts,
                           size_t NumMuts) {
-  size_t Header = Out.size();
-  putU32(Out, 0); // payload length, patched below
-  putU32(Out, 0); // CRC, patched below
-  size_t Payload = Out.size();
-  putU64(Out, CommitSeq);
-  putU32(Out, Shard);
-  putU32(Out, static_cast<uint32_t>(NumMuts));
-  for (size_t I = 0; I < NumMuts; ++I) {
-    putU8(Out, static_cast<uint8_t>(Muts[I].Op));
-    encodeTuple(Out, Muts[I].Full);
-  }
-  patchRecordHeader(Out, Header, Payload);
+  encodeRecord(Out, CommitSeq, Shard, NumMuts, AllColumns, arraySource(Muts));
 }
 
 size_t crs::walDecodeRecord(const uint8_t *Data, size_t Len, WalRecord &Out) {
   if (Len < 8)
     return 0;
-  uint32_t PayloadLen = 0, Crc = 0;
-  for (int I = 0; I < 4; ++I) {
-    PayloadLen |= static_cast<uint32_t>(Data[I]) << (8 * I);
-    Crc |= static_cast<uint32_t>(Data[4 + I]) << (8 * I);
-  }
+  Reader H{Data, 8};
+  uint32_t PayloadLen = H.get<uint32_t>(), Crc = H.get<uint32_t>();
   if (Len < 8 + static_cast<size_t>(PayloadLen))
     return 0;
   if (walCrc32(Data + 8, PayloadLen) != Crc)
     return 0;
   Reader R{Data + 8, PayloadLen};
-  Out.CommitSeq = R.u64();
-  Out.Shard = R.u32();
-  uint32_t N = R.u32();
+  Out.CommitSeq = R.get<uint64_t>();
+  Out.Shard = R.get<uint32_t>();
+  uint32_t N = R.get<uint32_t>();
   Out.Muts.clear();
   Out.Muts.reserve(N);
   for (uint32_t I = 0; I < N && !R.Bad; ++I) {
     WalMutation M;
-    uint8_t Op = R.u8();
+    uint8_t Op = R.get<uint8_t>();
     if (Op > 1) {
       R.Bad = true;
       break;
@@ -290,45 +264,68 @@ std::vector<unsigned> crs::listWalSegments(const std::string &Dir,
 //===----------------------------------------------------------------------===//
 
 WalReadResult crs::readWalPartition(const std::string &Path) {
-  WalReadResult Res;
   int Fd = ::open(Path.c_str(), O_RDONLY);
   if (Fd < 0) {
-    if (errno == ENOENT)
-      return Res; // a shard that never committed: empty, not an error
-    Res.Error = Path + ": " + std::strerror(errno);
+    WalReadResult Res;
+    if (errno != ENOENT) // a shard that never committed: empty, no error
+      Res.Error = Path + ": " + std::strerror(errno);
     return Res;
   }
+  WalReadResult Res = readWalRecords(Fd, 0);
+  ::close(Fd);
+  if (!Res.ok())
+    Res.Error = Path + ": " + Res.Error;
+  return Res;
+}
+
+WalReadResult crs::readWalRecords(int Fd, uint64_t Off) {
+  WalReadResult Res;
   std::vector<uint8_t> Buf;
   uint8_t Chunk[1 << 16];
   for (;;) {
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
+    ssize_t N = ::pread(Fd, Chunk, sizeof(Chunk),
+                        static_cast<off_t>(Off + Buf.size()));
+    if (N < 0 && errno == EINTR)
+      continue;
     if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Res.Error = Path + ": " + std::strerror(errno);
-      ::close(Fd);
+      Res.Error = std::strerror(errno);
       return Res;
     }
     if (N == 0)
       break;
     Buf.insert(Buf.end(), Chunk, Chunk + N);
   }
-  ::close(Fd);
-
-  size_t Off = 0;
+  size_t At = 0;
   WalRecord Rec;
-  while (Off < Buf.size()) {
-    size_t Used = walDecodeRecord(Buf.data() + Off, Buf.size() - Off, Rec);
+  while (At < Buf.size()) {
+    size_t Used = walDecodeRecord(Buf.data() + At, Buf.size() - At, Rec);
     if (Used == 0) {
-      Res.TornTail = true; // mid-append crash remnant: stop cleanly
+      Res.TornTail = true; // mid-append remnant: stop cleanly
       break;
     }
     Res.Records.push_back(std::move(Rec));
     Rec = WalRecord();
-    Off += Used;
+    At += Used;
   }
-  Res.ValidBytes = Off;
+  Res.ValidBytes = At;
   return Res;
+}
+
+bool crs::walWriteAll(int Fd, const uint8_t *Data, size_t Len,
+                      const std::string &Path, std::string *Err) {
+  size_t Off = 0;
+  while (Off < Len) {
+    ssize_t W = ::write(Fd, Data + Off, Len - Off);
+    if (W < 0) {
+      if (errno == EINTR)
+        continue;
+      if (Err)
+        *Err = Path + ": " + std::strerror(errno);
+      return false;
+    }
+    Off += static_cast<size_t>(W);
+  }
+  return true;
 }
 
 bool crs::truncateWalPartition(const std::string &Path, uint64_t ValidBytes) {
@@ -357,20 +354,6 @@ bool makeDirs(const std::string &Path, std::string *Err) {
     }
     if (I < Path.size())
       Cur.push_back('/');
-  }
-  return true;
-}
-
-bool writeFully(int Fd, const uint8_t *Data, size_t Len) {
-  size_t Off = 0;
-  while (Off < Len) {
-    ssize_t W = ::write(Fd, Data + Off, Len - Off);
-    if (W < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(W);
   }
   return true;
 }
@@ -426,41 +409,26 @@ WriteAheadLog::~WriteAheadLog() {
 }
 
 namespace {
-/// Per-thread serialization buffer: both logCommit overloads encode
-/// outside the partition mutex, and the commit path stays
-/// allocation-free once each thread's buffer is warm.
+/// Per-thread serialization buffer: records are encoded outside the
+/// partition mutex, and the commit path stays allocation-free once each
+/// thread's buffer is warm.
 thread_local std::vector<uint8_t> CommitScratch;
 } // namespace
 
 void WriteAheadLog::logCommit(uint32_t Partition, uint64_t CommitSeq,
                               uint32_t Shard, const WalMutation *Muts,
                               size_t NumMuts) {
-  assert(Partition < Parts.size() && "partition out of range");
-  if (NumMuts == 0)
-    return; // read-only scopes leave no redo record
-  CommitScratch.clear();
-  walEncodeRecord(CommitScratch, CommitSeq, Shard, Muts, NumMuts);
-  appendEncoded(Partition, CommitSeq, CommitScratch);
+  logCommit(Partition, CommitSeq, Shard, NumMuts, AllColumns,
+            arraySource(Muts));
 }
 
 void WriteAheadLog::logCommit(uint32_t Partition, uint64_t CommitSeq,
                               uint32_t Shard, WalOp Op, const Tuple &Full) {
-  assert(Partition < Parts.size() && "partition out of range");
-  // Same wire form as the array overload with NumMuts = 1, written
-  // without materializing a WalMutation (the encoder reads the caller's
-  // tuple in place).
-  CommitScratch.clear();
-  size_t Header = CommitScratch.size();
-  putU32(CommitScratch, 0); // payload length, patched below
-  putU32(CommitScratch, 0); // CRC, patched below
-  size_t Payload = CommitScratch.size();
-  putU64(CommitScratch, CommitSeq);
-  putU32(CommitScratch, Shard);
-  putU32(CommitScratch, 1);
-  putU8(CommitScratch, static_cast<uint8_t>(Op));
-  encodeTuple(CommitScratch, Full);
-  patchRecordHeader(CommitScratch, Header, Payload);
-  appendEncoded(Partition, CommitSeq, CommitScratch);
+  logCommit(Partition, CommitSeq, Shard, 1, AllColumns,
+            [&](size_t, const Tuple *&F) {
+              F = &Full;
+              return Op;
+            });
 }
 
 void WriteAheadLog::logCommit(uint32_t Partition, uint64_t CommitSeq,
@@ -470,41 +438,19 @@ void WriteAheadLog::logCommit(uint32_t Partition, uint64_t CommitSeq,
   assert(Partition < Parts.size() && "partition out of range");
   if (NumMuts == 0)
     return; // read-only scopes leave no redo record
-  // Same wire form as the array overload (wal_test asserts byte
-  // equality), written straight from the caller's commit log: no
-  // WalMutation vector, and projection applied during encoding.
   CommitScratch.clear();
-  size_t Header = CommitScratch.size();
-  putU32(CommitScratch, 0); // payload length, patched below
-  putU32(CommitScratch, 0); // CRC, patched below
-  size_t Payload = CommitScratch.size();
-  putU64(CommitScratch, CommitSeq);
-  putU32(CommitScratch, Shard);
-  putU32(CommitScratch, static_cast<uint32_t>(NumMuts));
-  for (size_t I = 0; I < NumMuts; ++I) {
-    const Tuple *Full = nullptr;
-    WalOp Op = Mut(I, Full);
-    assert(Full && "mutation source must point Full at its tuple");
-    putU8(CommitScratch, static_cast<uint8_t>(Op));
-    encodeTupleProjected(CommitScratch, *Full, Project);
-  }
-  patchRecordHeader(CommitScratch, Header, Payload);
-  appendEncoded(Partition, CommitSeq, CommitScratch);
-}
-
-void WriteAheadLog::appendEncoded(uint32_t Partition, uint64_t CommitSeq,
-                                  const std::vector<uint8_t> &Encoded) {
+  encodeRecord(CommitScratch, CommitSeq, Shard, NumMuts, Project, Mut);
   struct Partition &P = *Parts[Partition];
   uint64_t MyEnd;
   {
     std::lock_guard<std::mutex> G(P.M);
-    P.Tail.insert(P.Tail.end(), Encoded.begin(), Encoded.end());
-    P.Appended += Encoded.size();
+    P.Tail.insert(P.Tail.end(), CommitScratch.begin(), CommitScratch.end());
+    P.Appended += CommitScratch.size();
     P.TailMaxSeq = std::max(P.TailMaxSeq, CommitSeq);
     MyEnd = P.Appended;
   }
   Records.fetch_add(1, std::memory_order_relaxed);
-  Bytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
+  Bytes.fetch_add(CommitScratch.size(), std::memory_order_relaxed);
 
   // Wake the flusher once per batch window (an atomic read on the warm
   // path; the mutex+notify only when the flag flips).
@@ -572,7 +518,7 @@ uint64_t WriteAheadLog::flushRound() {
       BatchMaxSeq = P.TailMaxSeq;
       P.TailMaxSeq = 0;
     }
-    bool Ok = writeFully(P.Fd, Local.data(), Local.size());
+    bool Ok = walWriteAll(P.Fd, Local.data(), Local.size(), Dir, nullptr);
     if (Ok && Mode != FsyncMode::None)
       Ok = ::fsync(P.Fd) == 0;
     if (!Ok) {

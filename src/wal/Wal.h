@@ -247,12 +247,6 @@ private:
   /// pruning) and opens the next one. Caller holds RoundM. Latches
   /// Failed on open failure.
   void rotateSegmentLocked(Partition &P, unsigned Index);
-  /// Shared tail of the logCommit overloads: appends the wire bytes in
-  /// \p Encoded to partition \p Partition under the partition mutex,
-  /// wakes the flusher, and parks for durability in Sync mode.
-  /// \p CommitSeq feeds the per-segment max used by pruneSegments.
-  void appendEncoded(uint32_t Partition, uint64_t CommitSeq,
-                     const std::vector<uint8_t> &Encoded);
 
   std::string Dir;
   FsyncMode Mode = FsyncMode::Batched;
@@ -309,6 +303,13 @@ size_t walDecodeRecord(const uint8_t *Data, size_t Len, WalRecord &Out);
 /// CRC-32 (IEEE, reflected) over \p Len bytes.
 uint32_t walCrc32(const uint8_t *Data, size_t Len);
 
+/// Writes all \p Len bytes at \p Data to \p Fd, resuming after short
+/// writes and EINTR: the one POSIX write loop of the log and its
+/// checkpoints. On failure sets \p Err (if non-null) to
+/// "<Path>: <strerror>".
+bool walWriteAll(int Fd, const uint8_t *Data, size_t Len,
+                 const std::string &Path, std::string *Err);
+
 /// The partition file path `Dir/wal-<i>.log`.
 std::string walPartitionPath(const std::string &Dir, unsigned Partition);
 
@@ -339,6 +340,12 @@ struct WalReadResult {
 /// torn tail — the expected remnant of a mid-append crash — stops the
 /// scan cleanly at the last whole record.
 WalReadResult readWalPartition(const std::string &Path);
+
+/// The scan behind readWalPartition and the follower's tailer: reads
+/// open file \p Fd from byte \p Off to its current end (pread, so the
+/// file offset is untouched) and decodes the whole records there.
+/// ValidBytes counts from \p Off; Error is a bare strerror.
+WalReadResult readWalRecords(int Fd, uint64_t Off);
 
 /// Truncates \p Path to \p ValidBytes — recovery calls this so a
 /// reopened log appends after the last whole record instead of after

@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <dirent.h>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -314,6 +315,44 @@ TEST(ObsRegistry, CountersGaugesCallbacksAndRemoval) {
 //===----------------------------------------------------------------------===//
 // Relation wiring
 //===----------------------------------------------------------------------===//
+
+/// The `sync.wait` histogram's gate_enter series, or null.
+const MetricsSnapshot::HistogramSample *gateWaits(const MetricsSnapshot &S) {
+  for (const auto &H : S.Histograms)
+    if (H.Name == "sync.wait" && H.Labels.size() == 1 &&
+        H.Labels[0] == std::make_pair(std::string("site"),
+                                      std::string("gate_enter")))
+      return &H;
+  return nullptr;
+}
+
+TEST(ObsSync, ForcedGateWaitExportsSyncWaitWithItsSite) {
+  // A wait past the spin phase lands in the global registry's
+  // sync.wait histogram under its site label, with its duration.
+  const auto *Before = gateWaits(MetricsRegistry::global().snapshot());
+  uint64_t CountBefore = Before ? Before->Data.Count : 0;
+  OpGate G;
+  auto Closed = std::make_unique<OpGate::Barrier>(G);
+  std::atomic<bool> Entered{false};
+  std::thread Waiter([&] {
+    G.enter();
+    Entered = true;
+    G.exit();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Entered.load());
+  Closed.reset();
+  Waiter.join();
+
+  MetricsSnapshot S = MetricsRegistry::global().snapshot();
+  const auto *H = gateWaits(S);
+  ASSERT_NE(H, nullptr) << "sync.wait{site=gate_enter} not exported";
+  EXPECT_EQ(H->Data.Count, CountBefore + 1);
+  EXPECT_GE(H->Data.MaxNanos, 10'000'000u) << "the wait lasted >= 20 ms";
+  std::string Json = toJson(S);
+  EXPECT_NE(Json.find("\"sync.wait\""), std::string::npos);
+  EXPECT_NE(Json.find("\"gate_enter\""), std::string::npos);
+}
 
 TEST(ObsRelation, AttachExportsLiveCountersDetachStops) {
   MetricsRegistry Reg;

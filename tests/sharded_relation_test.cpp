@@ -361,8 +361,11 @@ TEST(ShardedRelation, FanOutQueriesDuringShardMigrationLoseNothing) {
   ASSERT_FALSE(Pred.singleShard());
 
   // Churn on disjoint keys (srcs ≥ 1000, dsts ≠ 777) from one writer
-  // thread while another migrates the shards one at a time, twice.
+  // thread while another migrates the shards one at a time, twice,
+  // starting once the main thread has merged one fan-out round (so the
+  // rounds below overlap the migrations, not only their aftermath).
   std::atomic<bool> Done{false};
+  std::atomic<uint64_t> Rounds{0};
   std::thread Churn([&] {
     Xoshiro256 Rng(42);
     while (!Done.load(std::memory_order_acquire)) {
@@ -375,6 +378,8 @@ TEST(ShardedRelation, FanOutQueriesDuringShardMigrationLoseNothing) {
     }
   });
   std::thread Migrator([&] {
+    while (Rounds.load(std::memory_order_acquire) == 0)
+      std::this_thread::yield();
     for (const RepresentationConfig &Target :
          {splitStriped(), stickCoarse()})
       for (unsigned Shard = 0; Shard < 2; ++Shard) {
@@ -388,7 +393,6 @@ TEST(ShardedRelation, FanOutQueriesDuringShardMigrationLoseNothing) {
   // must contain each stable edge exactly once with its exact weight —
   // a lost tuple (missed by backfill), a duplicate (mirrored twice),
   // or a torn weight would all surface here.
-  uint64_t Rounds = 0;
   while (!Done.load(std::memory_order_acquire)) {
     std::set<int64_t> Seen;
     uint32_t States = 0;
@@ -402,11 +406,11 @@ TEST(ShardedRelation, FanOutQueriesDuringShardMigrationLoseNothing) {
     });
     EXPECT_EQ(States, StableSrcs) << "fan-out merge lost stable edges";
     EXPECT_EQ(Seen.size(), static_cast<size_t>(StableSrcs));
-    ++Rounds;
+    Rounds.fetch_add(1, std::memory_order_release);
   }
   Migrator.join();
   Churn.join();
-  EXPECT_GT(Rounds, 0u);
+  EXPECT_GT(Rounds.load(), 0u);
   EXPECT_TRUE(R.verifyConsistency().ok()) << R.verifyConsistency().str();
 }
 

@@ -5,14 +5,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "autotune/Autotuner.h"
+#include "runtime/Migration.h"
+#include "sync/Backoff.h"
 #include "sync/LockSet.h"
 #include "sync/PhysicalLock.h"
+#include "txn/Transaction.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <memory>
 #include <thread>
 
 using namespace crs;
@@ -241,6 +246,120 @@ TEST(LockSet, InOrderWaitOutlastsAYoungerHolder) {
   Older.join();
   EXPECT_TRUE(Returned.load());
   EXPECT_EQ(Result, TxnAcquire::Ok);
+}
+
+// ---------------------------------------------------------------- Backoff
+
+double secondsSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+      .count();
+}
+
+TEST(Backoff, EscalationIsBoundedByTheCap) {
+  // The schedule: spin and yield rounds sleep nothing, then sleeps
+  // double up to the cap and stay there, however long the wait.
+  for (unsigned R = 0; R < Backoff::SpinRounds + Backoff::YieldRounds; ++R)
+    EXPECT_EQ(Backoff::sleepMicros(R), 0u) << "round " << R;
+  unsigned Prev = 0;
+  for (unsigned R = Backoff::SpinRounds + Backoff::YieldRounds; R < 100000;
+       ++R) {
+    unsigned Us = Backoff::sleepMicros(R);
+    EXPECT_GE(Us, Prev) << "round " << R;
+    EXPECT_LE(Us, Backoff::MaxSleepMicros) << "round " << R;
+    Prev = Us;
+  }
+  EXPECT_EQ(Prev, Backoff::MaxSleepMicros);
+  // runTransaction keeps one Backoff across its attempts; over the
+  // benchmark's 1000-attempt bound its nominal sleeps must span at
+  // least the 0.44 s the previous linear schedule did, or a scope an
+  // older holder keeps killing would stop outlasting the holder's stall.
+  uint64_t SpanMicros = 0;
+  for (unsigned R = 0; R < 1000; ++R)
+    SpanMicros += Backoff::sleepMicros(R);
+  EXPECT_GE(SpanMicros, 440000u);
+
+  // And a live Backoff honors it: far past the point where uncapped
+  // doubling would sleep for seconds, each pause still returns quickly.
+  Backoff B(WaitSite::GateEnter);
+  double Longest = 0;
+  for (unsigned I = 0; I < 60; ++I) {
+    auto T0 = std::chrono::steady_clock::now();
+    B.pause();
+    Longest = std::max(Longest, secondsSince(T0));
+  }
+  EXPECT_LT(Longest, 0.25) << "a capped pause sleeps about 1 ms";
+}
+
+TEST(OpGate, TryEnterOnAClosedGateGivesUp) {
+  OpGate G;
+  {
+    OpGate::Barrier Closed(G);
+    auto T0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(G.tryEnter(50)); // through the spin, yield and sleep rounds
+    EXPECT_LT(secondsSince(T0), 5.0);
+  }
+  // The failed entry left no count behind: the gate opens, and a
+  // barrier can still drain it.
+  EXPECT_TRUE(G.tryEnter(50));
+  G.exit();
+  OpGate::Barrier Again(G);
+}
+
+TEST(OpGate, EnterProceedsOnceTheBarrierIsReleased) {
+  OpGate G;
+  auto Closed = std::make_unique<OpGate::Barrier>(G);
+  std::atomic<bool> Entered{false};
+  std::thread Waiter([&] {
+    G.enter();
+    Entered = true;
+    G.exit();
+  });
+  EXPECT_FALSE(waitFor(Entered, 50)) << "entered a closed gate";
+  Closed.reset();
+  EXPECT_TRUE(waitFor(Entered, 5000)) << "still waiting on an open gate";
+  Waiter.join();
+}
+
+TEST(RunTransaction, MaxAttemptsRunsExactlyThatManyScopes) {
+  // An older scope holds the only key; every scope the younger logical
+  // transaction opens dies at once under wait-die (Conflict) and is
+  // retried until the attempt bound.
+  ConcurrentRelation R(makeGraphRepresentation(
+      {GraphShape::Stick, PlacementSchemeKind::Coarse, 1,
+       ContainerKind::HashMap, ContainerKind::TreeMap}));
+  const RelationSpec &Spec = R.spec();
+  ASSERT_TRUE(R.insert(Tuple::of({{Spec.col("src"), Value::ofInt(1)},
+                                  {Spec.col("dst"), Value::ofInt(2)}}),
+                       Tuple::of({{Spec.col("weight"), Value::ofInt(3)}})));
+  PreparedQuery Exact =
+      R.prepareQuery(Spec.cols({"src", "dst"}), Spec.cols({"weight"}));
+  std::atomic<bool> Holding{false}, Release{false};
+  std::thread Older([&] {
+    Transaction T(R);
+    EXPECT_TRUE(T.queryForUpdate(Exact, {Value::ofInt(1), Value::ofInt(2)}));
+    Holding = true;
+    while (!Release.load())
+      std::this_thread::yield();
+    EXPECT_TRUE(T.commit());
+  });
+  ASSERT_TRUE(waitFor(Holding, 5000));
+  for (unsigned Max : {1u, 7u, 50u}) {
+    unsigned Scopes = 0;
+    bool Committed = runTransaction(
+        R,
+        [&](Transaction &T) {
+          ++Scopes;
+          EXPECT_FALSE(
+              T.queryForUpdate(Exact, {Value::ofInt(1), Value::ofInt(2)}));
+          EXPECT_EQ(T.abortCause(), TxnAbortCause::Conflict);
+          return true; // died: runTransaction retries
+        },
+        Max);
+    EXPECT_FALSE(Committed);
+    EXPECT_EQ(Scopes, Max);
+  }
+  Release = true;
+  Older.join();
 }
 
 } // namespace
